@@ -49,7 +49,6 @@ from .potentials import (
     build_edges,
     dissimilarity,
     edge_dissimilarities,
-    ingest_unary,
     pairwise_potential,
 )
 from .problem_io import (
@@ -76,7 +75,6 @@ from .solver import (
     SolverFailure,
     compute_gradient,
     iterate,
-    shift_nonnegative,
     shift_to_floor,
     solve,
     solve_constrained,
@@ -135,7 +133,6 @@ __all__ = [
     "extract_labeling",
     "generate_scene",
     "grid_for_size",
-    "ingest_unary",
     "iterate",
     "lbp_map",
     "load_problem",
@@ -151,7 +148,6 @@ __all__ = [
     "rows_to_csv",
     "run_benchmark",
     "save_problem",
-    "shift_nonnegative",
     "shift_to_floor",
     "solve",
     "solve_constrained",

@@ -5,7 +5,7 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -24,17 +24,6 @@ __all__ = [
     "speedup_summary",
 ]
 
-CSV_COLUMNS = (
-    "nodes",
-    "labels",
-    "constraint_fraction",
-    "reduced_vars",
-    "iterations",
-    "wall_ms",
-    "objective",
-    "solver",
-)
-
 
 @dataclass(frozen=True)
 class BenchmarkRow:
@@ -46,6 +35,9 @@ class BenchmarkRow:
     wall_ms: float
     objective: float
     solver: str
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(BenchmarkRow))
 
 
 def grid_for_size(target_nodes):
@@ -78,20 +70,16 @@ def benchmark_constraint_sets(scene, fraction, seed):
     Object-label groups are always included: they model cloud-derived
     constraints, which exist wherever an object produced a blob.  The
     fraction scales background coverage (how much of the remaining
-    scene has consistent 3D support), via a seeded shuffle shared
-    across fractions so selections are nested.
+    scene has consistent 3D support), through `constraint_prefix`, so
+    selections for one seed are nested across fractions.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("constraint fraction must lie in [0, 1]")
     candidates = tile_constraint_candidates(
         scene.true_labels, scene.width, scene.height
     )
     objects = [c for c in candidates if scene.true_labels[c[0]] != 0]
     background = [c for c in candidates if scene.true_labels[c[0]] == 0]
-    order = np.random.default_rng(seed).permutation(len(background))
-    count = int(round(fraction * len(background)))
-    chosen = objects + [background[i] for i in order[:count]]
-    return ConstraintSets(chosen)
+    chosen = constraint_prefix(background, fraction, seed)
+    return ConstraintSets(objects + list(chosen))
 
 
 BENCH_NOISE = 0.57
@@ -175,19 +163,7 @@ def rows_to_csv(rows):
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(
-            [
-                row.nodes,
-                row.labels,
-                row.constraint_fraction,
-                row.reduced_vars,
-                row.iterations,
-                row.wall_ms,
-                row.objective,
-                row.solver,
-            ]
-        )
+    writer.writerows(astuple(row) for row in rows)
     return buffer.getvalue()
 
 

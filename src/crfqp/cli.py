@@ -46,12 +46,6 @@ def build_parser():
     p_solve.add_argument("--max-iters", type=int, default=1000)
     p_solve.add_argument("--tol", type=float, default=1e-6)
     p_solve.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="recorded in the report; all decoders are deterministic",
-    )
-    p_solve.add_argument(
         "--init",
         choices=("uniform", "unary_softmax"),
         default="uniform",
@@ -167,7 +161,6 @@ def _cmd_solve(args):
     _write_labeling(out_path, labeling)
     report_doc = {
         "solver": args.solver,
-        "seed": args.seed,
         "iterations": iterations,
         "converged": converged,
         "objective": objective_of_labeling(

@@ -74,15 +74,6 @@ class CrfGraph:
             return np.zeros((0, 2), dtype=np.int64)
         return np.asarray(self.edges, dtype=np.int64)
 
-    @cached_property
-    def neighbors(self):
-        """Adjacency lists, one sorted tuple of neighbor indices per node."""
-        adj = [[] for _ in range(self.num_nodes)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return tuple(tuple(sorted(a)) for a in adj)
-
 
 @dataclass(frozen=True)
 class Potentials:

@@ -18,7 +18,6 @@ __all__ = [
     "bhattacharyya_distance",
     "dissimilarity",
     "pairwise_potential",
-    "ingest_unary",
     "edge_dissimilarities",
 ]
 
@@ -108,26 +107,21 @@ def dissimilarity(i, j, params):
     return (hist_term + color_term + loc_term) / 3.0
 
 
-def pairwise_potential(dis_value, num_labels):
-    """Potts-style pairwise matrix for one edge: 1 - dis^2 on the
-    diagonal, dis^2 off it.  `dis_value` must lie in [0, 1]."""
-    if not 0.0 <= dis_value <= 1.0:
-        raise ValueError(f"dissimilarity must lie in [0, 1], got {dis_value}")
-    d2 = dis_value * dis_value
-    psi = np.full((num_labels, num_labels), d2)
-    np.fill_diagonal(psi, 1.0 - d2)
+def pairwise_potential(dis, num_labels):
+    """Potts-style pairwise matrices: 1 - dis^2 on the diagonal, dis^2
+    off it.  `dis` is a scalar or an array of values in [0, 1]; the
+    result has shape dis.shape + (num_labels, num_labels)."""
+    dis = np.asarray(dis, dtype=np.float64)
+    in_range = (dis >= 0.0) & (dis <= 1.0)
+    if not np.all(in_range):
+        bad = dis[~in_range].flat[0]
+        raise ValueError(f"dissimilarity must lie in [0, 1], got {bad}")
+    d2 = dis * dis
+    shape = d2.shape + (num_labels, num_labels)
+    psi = np.broadcast_to(d2[..., None, None], shape).copy()
+    diag = np.arange(num_labels)
+    psi[..., diag, diag] = (1.0 - d2)[..., None]
     return psi
-
-
-def ingest_unary(scores):
-    """Validate and return externally supplied unary scores (similarity
-    or posterior values to maximize, stored as-is)."""
-    unary = np.asarray(scores, dtype=np.float64)
-    if unary.ndim != 2:
-        raise ValueError(f"unary scores must be 2-D, got shape {unary.shape}")
-    if not np.all(np.isfinite(unary)):
-        raise ValueError("unary scores must be finite")
-    return unary
 
 
 def edge_dissimilarities(features, edges, params):

@@ -68,11 +68,16 @@ def _fail(field, message):
     raise ValueError(f"problem file field {field!r}: {message}")
 
 
+def _is_int(value):
+    # bool subclasses int, but true/false are not valid counts or indices
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(doc, field, kind):
     if field not in doc:
         _fail(field, "missing")
     value = doc[field]
-    if kind is not None and not isinstance(value, kind):
+    if isinstance(value, bool) or not isinstance(value, kind):
         _fail(field, f"expected {kind.__name__}, got {type(value).__name__}")
     return value
 
@@ -113,7 +118,7 @@ def problem_from_dict(doc):
             _fail(where, "must be an object")
         i = entry.get("i")
         j = entry.get("j")
-        if not isinstance(i, int) or not isinstance(j, int):
+        if not _is_int(i) or not _is_int(j):
             _fail(where, "i and j must be integers")
         if not 0 <= i < j < num_nodes:
             _fail(where, f"requires 0 <= i < j < num_nodes, got i={i}, j={j}")
@@ -136,9 +141,7 @@ def problem_from_dict(doc):
     if not isinstance(constraints, list):
         _fail("constraints", "must be a list of node lists")
     for idx, group in enumerate(constraints):
-        if not isinstance(group, list) or not all(
-            isinstance(node, int) for node in group
-        ):
+        if not isinstance(group, list) or not all(_is_int(node) for node in group):
             _fail(f"constraints[{idx}]", "must be a list of integers")
     try:
         constraint_sets = ConstraintSets(constraints)

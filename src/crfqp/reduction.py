@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .core import CrfGraph, Potentials, check_marginals
+from .core import CrfGraph, Potentials, _check_dims, check_marginals
 
 __all__ = [
     "ConstraintSets",
@@ -107,28 +107,16 @@ def build_constraint_matrix(graph, constraint_sets):
 
 def build_null_space_operator(graph, constraint_sets):
     """Node -> supernode surjection realizing the null space of the
-    constraint matrix.  Supernodes are numbered by first appearance in
-    node order; the induced replication operator Z satisfies E @ Z = 0
-    with exact structural zeros."""
+    constraint matrix.  Each node points at the smallest member of its
+    set (or itself), so numbering the distinct owners in sorted order
+    numbers supernodes by first appearance in node order.  The induced
+    replication operator Z satisfies E @ Z = 0 with exact structural
+    zeros."""
     constraint_sets.check_bounds(graph.num_nodes)
-    set_of_node = {}
-    for idx, members in enumerate(constraint_sets):
-        for i in members:
-            set_of_node[i] = idx
-    node_to_super = np.full(graph.num_nodes, -1, dtype=np.int64)
-    set_super = {}
-    next_id = 0
-    for i in range(graph.num_nodes):
-        s = set_of_node.get(i)
-        if s is None:
-            node_to_super[i] = next_id
-            next_id += 1
-        elif s in set_super:
-            node_to_super[i] = set_super[s]
-        else:
-            set_super[s] = next_id
-            node_to_super[i] = next_id
-            next_id += 1
+    owner = np.arange(graph.num_nodes)
+    for members in constraint_sets:
+        owner[list(members)] = members[0]
+    _, node_to_super = np.unique(owner, return_inverse=True)
     return node_to_super
 
 
@@ -157,8 +145,6 @@ def reduce_problem(graph, potentials, constraint_sets):
     label p (both directions of the undirected edge); this reproduces
     the original objective exactly at integral assignments.
     """
-    from .core import _check_dims
-
     _check_dims(graph, potentials)
     node_to_super = build_null_space_operator(graph, constraint_sets)
     m = int(node_to_super.max()) + 1

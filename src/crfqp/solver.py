@@ -35,7 +35,6 @@ __all__ = [
     "SolveReport",
     "ShiftOffsets",
     "SolverFailure",
-    "shift_nonnegative",
     "shift_to_floor",
     "compute_gradient",
     "iterate",
@@ -51,12 +50,10 @@ class SolverFailure(RuntimeError):
 @dataclass(frozen=True)
 class SolverConfig:
     """max_iterations: iteration cap; tol: convergence threshold on the
-    max absolute marginal change; epsilon_shift: floor added on top of
-    the nonnegativity shift; init: 'uniform' or 'unary_softmax'."""
+    max absolute marginal change; init: 'uniform' or 'unary_softmax'."""
 
     max_iterations: int = 1000
     tol: float = 1e-6
-    epsilon_shift: float = 1e-9
     init: str = "uniform"
 
     def __post_init__(self):
@@ -80,7 +77,7 @@ class SolveReport:
 @dataclass(frozen=True)
 class ShiftOffsets:
     """Constants added to every unary / pairwise entry by
-    `shift_nonnegative`."""
+    `shift_to_floor`."""
 
     unary: float
     pairwise: float
@@ -89,23 +86,6 @@ class ShiftOffsets:
         """Amount by which the shift raises the objective at any point
         with simplex rows: unary * N + pairwise * 2 * |edges|."""
         return self.unary * graph.num_nodes + self.pairwise * 2 * graph.num_edges
-
-
-def shift_nonnegative(potentials, epsilon=1e-9):
-    """Shift unary and pairwise entries by per-block constants so every
-    entry is >= `epsilon`.  Returns (shifted, offsets); offsets are 0
-    for blocks already above the floor."""
-    u_min = potentials.unary.min()
-    u_off = 0.0 if u_min >= epsilon else epsilon - u_min
-    if potentials.pairwise.size:
-        p_min = potentials.pairwise.min()
-        p_off = 0.0 if p_min >= epsilon else epsilon - p_min
-    else:
-        p_off = 0.0
-    if u_off == 0.0 and p_off == 0.0:
-        return potentials, ShiftOffsets(0.0, 0.0)
-    shifted = Potentials(potentials.unary + u_off, potentials.pairwise + p_off)
-    return shifted, ShiftOffsets(u_off, p_off)
 
 
 def shift_to_floor(potentials, epsilon=1e-9):
@@ -133,17 +113,13 @@ def compute_gradient(graph, potentials, marginals):
     Each edge contributes through the symmetric part of its matrix,
     which leaves the objective unchanged and makes this the exact
     gradient for non-symmetric matrices as well; the dissimilarity
-    construction always produces symmetric ones.
+    construction always produces symmetric ones.  Evaluated through the
+    same sparse operator that `solve` iterates with.
     """
     _check_dims(graph, potentials)
     mu = check_marginals(marginals, graph.num_nodes, graph.num_labels)
-    q = potentials.unary.copy()
-    if graph.num_edges:
-        ea = graph.edge_array
-        sym = 0.5 * (potentials.pairwise + potentials.pairwise.transpose(0, 2, 1))
-        np.add.at(q, ea[:, 0], 2.0 * np.einsum("epq,eq->ep", sym, mu[ea[:, 1]]))
-        np.add.at(q, ea[:, 1], 2.0 * np.einsum("epq,eq->ep", sym, mu[ea[:, 0]]))
-    return q
+    qa = _quadratic_operator(graph, potentials.pairwise) @ mu.ravel()
+    return potentials.unary + 2.0 * qa.reshape(mu.shape)
 
 
 def iterate(marginals, q):
@@ -205,9 +181,8 @@ def solve(graph, potentials, config=None, callback=None):
     ----------
     graph : CrfGraph
     potentials : Potentials
-        Arbitrary finite scores; translated internally onto the
-        `epsilon_shift` floor, so uniformly shifted inputs solve
-        identically.
+        Arbitrary finite scores; translated internally by
+        `shift_to_floor`, so uniformly shifted inputs solve identically.
     config : SolverConfig, optional
     callback : callable, optional
         Called as callback(iteration, marginals) after every update.
@@ -229,7 +204,7 @@ def solve(graph, potentials, config=None, callback=None):
         config = SolverConfig()
     _check_dims(graph, potentials)
     t0 = time.perf_counter()
-    shifted, offsets = shift_to_floor(potentials, config.epsilon_shift)
+    shifted, offsets = shift_to_floor(potentials)
     offset = offsets.objective_offset(graph)
     quad = _quadratic_operator(graph, shifted.pairwise)
     b = shifted.unary.ravel()

@@ -20,6 +20,7 @@ from .potentials import (
     PotentialParams,
     build_edges,
     edge_dissimilarities,
+    pairwise_potential,
 )
 
 __all__ = [
@@ -236,11 +237,7 @@ def generate_scene(
 
     edges = build_edges(features, params.theta)
     dis = edge_dissimilarities(features, edges, params)
-    d2 = dis**2
-    psi = np.broadcast_to(d2[:, None, None], (len(edges), num_labels, num_labels)).copy()
-    diag = np.arange(num_labels)
-    psi[:, diag, diag] = (1.0 - d2)[:, None]
-    psi *= pairwise_weight
+    psi = pairwise_weight * pairwise_potential(dis, num_labels)
 
     unary = (1.0 - noise) * np.eye(num_labels)[true_labels]
     unary = unary + noise * rng.uniform(0.0, 1.0, size=(n, num_labels))

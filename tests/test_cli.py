@@ -56,6 +56,15 @@ def test_solve_report_is_consistent_with_outputs(tmp_path, capsys):
     printed = json.loads(capsys.readouterr().out)
     report = json.loads((tmp_path / "cqp.labels.report.json").read_text())
     assert printed == report
+    assert set(report) == {
+        "solver",
+        "iterations",
+        "converged",
+        "objective",
+        "wall_time_s",
+        "constraints_satisfied",
+        "labeling_path",
+    }
     assert report["solver"] == "cqp"
     assert report["converged"] is True
     assert report["constraints_satisfied"] is True
@@ -168,6 +177,13 @@ def test_input_errors_exit_2(tmp_path, capsys):
     bad.write_text("{not json")
     assert cli.main(["solve", str(bad)]) == 2
     assert "invalid JSON" in capsys.readouterr().err
+    boolean = tmp_path / "bool.json"
+    doc = json.loads(synth(tmp_path).read_text())
+    doc["edges"][0].update(i=False, j=True)
+    boolean.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["solve", str(boolean)]) == 2
+    assert "i and j must be integers" in capsys.readouterr().err
 
 
 def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
@@ -204,3 +220,6 @@ def test_bad_usage_exits_via_argparse():
     assert excinfo.value.code == 2
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["solve", "p.json", "--seed", "1"])
+    assert excinfo.value.code == 2

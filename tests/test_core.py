@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import crfqp
 from crfqp import (
     CrfGraph,
     Potentials,
@@ -101,12 +102,6 @@ def test_graph_rejects_bad_edges():
         CrfGraph(0, 2)
 
 
-def test_graph_neighbor_lists():
-    graph = CrfGraph(4, 2, [(0, 2), (0, 1), (2, 3)])
-    assert graph.neighbors == ((1, 2), (0,), (0, 3), (2,))
-    assert graph.num_edges == 3
-
-
 def test_potentials_validation():
     with pytest.raises(ValueError, match="finite"):
         Potentials([[np.inf, 0.0]])
@@ -142,3 +137,10 @@ def test_check_labeling_bounds():
         check_labeling([0, 2], 2, 2)
     with pytest.raises(ValueError, match="shape"):
         check_labeling([0, 1], 3, 2)
+
+
+def test_public_names_resolve_once():
+    names = crfqp.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(crfqp, name), name

@@ -13,7 +13,6 @@ from crfqp import (
     build_edges,
     dissimilarity,
     edge_dissimilarities,
-    ingest_unary,
     pairwise_potential,
 )
 
@@ -103,6 +102,14 @@ def test_pairwise_matrix_structure():
     np.testing.assert_array_equal(full_dis, 1.0 - np.eye(3))
     half = pairwise_potential(0.5, 2)
     np.testing.assert_allclose(half, [[0.75, 0.25], [0.25, 0.75]], atol=1e-15)
+    # arrays of dissimilarities give one matrix per entry
+    dis = np.array([[0.0, 0.3], [0.9, 1.0]])
+    batch = pairwise_potential(dis, 4)
+    assert batch.shape == (2, 2, 4, 4)
+    for idx in np.ndindex(dis.shape):
+        want = pairwise_potential(float(dis[idx]), 4)
+        np.testing.assert_array_equal(batch[idx], want)
+    assert pairwise_potential(np.zeros(0), 3).shape == (0, 3, 3)
 
 
 def test_pairwise_matrix_row_sums():
@@ -118,6 +125,8 @@ def test_pairwise_matrix_rejects_out_of_range():
         pairwise_potential(1.5, 3)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         pairwise_potential(-0.1, 3)
+    with pytest.raises(ValueError, match=r"\[0, 1\], got 1.5"):
+        pairwise_potential(np.array([0.2, 1.5]), 3)
 
 
 def test_dissimilarity_of_identical_features():
@@ -187,12 +196,3 @@ def test_params_must_be_positive():
         PotentialParams(theta=0.0, theta_c=1.0, theta_l=1.0)
     with pytest.raises(ValueError, match="positive"):
         PotentialParams(theta=1.0, theta_c=-2.0, theta_l=1.0)
-
-
-def test_ingest_unary_passthrough_and_checks():
-    scores = [[0.1, 0.9], [0.5, 0.5]]
-    np.testing.assert_array_equal(ingest_unary(scores), np.asarray(scores))
-    with pytest.raises(ValueError, match="finite"):
-        ingest_unary([[np.nan, 1.0]])
-    with pytest.raises(ValueError, match="2-D"):
-        ingest_unary([1.0, 2.0])

@@ -115,6 +115,18 @@ def bad_cases():
             "missing mean_color",
         ),
         (variant(lambda d: d.update(num_nodes=0)), "at least 1"),
+        # bool subclasses int in Python; JSON true/false are not integers
+        (variant(lambda d: d.update(version=True)), "'version': expected int"),
+        (variant(lambda d: d.update(num_nodes=True)), "expected int, got bool"),
+        (variant(lambda d: d.update(num_labels=True)), "expected int, got bool"),
+        (
+            variant(lambda d: d["edges"][0].update(i=False, j=True)),
+            r"'edges\[0\]': i and j must be integers",
+        ),
+        (
+            variant(lambda d: d.update(constraints=[[False, True]])),
+            r"'constraints\[0\]': must be a list of integers",
+        ),
     ]
 
 

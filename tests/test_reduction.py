@@ -61,6 +61,27 @@ def test_supernode_numbering_by_first_appearance():
     mapping = build_null_space_operator(graph, ConstraintSets([(1, 2)]))
     assert mapping.tolist() == [0, 1, 1, 2]
 
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        n = int(rng.integers(2, 15))
+        sets = ConstraintSets(random_disjoint_sets(rng, n, max_sets=4))
+        mapping = build_null_space_operator(CrfGraph(n, 2), sets)
+        # reference: walk the nodes, opening a new id at each unseen group
+        group_of = {i: i for i in range(n)}
+        for members in sets:
+            for i in members:
+                group_of[i] = ("set", members)
+        ids, expected = {}, []
+        for i in range(n):
+            expected.append(ids.setdefault(group_of[i], len(ids)))
+        assert mapping.tolist() == expected
+        m = len(ids)
+        assert sorted(set(mapping.tolist())) == list(range(m))
+        smallest = [min(np.flatnonzero(mapping == s)) for s in range(m)]
+        assert smallest == sorted(smallest)
+        for members in sets:
+            assert len({int(mapping[i]) for i in members}) == 1
+
 
 def test_replication_operator_annihilates_constraints():
     rng = np.random.default_rng(21)

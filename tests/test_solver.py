@@ -1,5 +1,5 @@
-"""Nonnegativity shift, closed-form gradient, the multiplicative update,
-and the full solve loops."""
+"""Floor shift, the closed-form gradient (the sparse operator `solve`
+iterates with), the multiplicative update, and the full solve loops."""
 
 import numpy as np
 import pytest
@@ -14,10 +14,11 @@ from crfqp import (
     extract_labeling,
     iterate,
     objective,
-    shift_nonnegative,
+    shift_to_floor,
     solve,
     solve_constrained,
 )
+from crfqp.solver import _initial_marginals
 from helpers import (
     fd_gradient,
     random_disjoint_sets,
@@ -26,16 +27,23 @@ from helpers import (
 )
 
 
-def test_shift_is_identity_when_already_nonnegative():
-    pot = Potentials([[1.0, 2.0]], np.zeros((0, 2, 2)))
-    shifted, offsets = shift_nonnegative(pot)
-    assert shifted is pot
+def test_shift_lowers_positive_minimum_to_floor():
+    pot = Potentials([[1.0, 2.0]], [np.array([[3.0, 4.0], [5.0, 6.0]])])
+    shifted, offsets = shift_to_floor(pot, epsilon=1e-9)
+    assert offsets.unary == 1e-9 - 1.0
+    assert offsets.pairwise == 1e-9 - 3.0
+    assert shifted.unary.min() == pytest.approx(1e-9, rel=1e-6)
+    assert shifted.pairwise.min() == pytest.approx(1e-9, rel=1e-6)
+    # a problem already on the floor comes back unchanged
+    on_floor = Potentials([[1e-9, 2.0]], [np.array([[1e-9, 4.0], [5.0, 6.0]])])
+    same, offsets = shift_to_floor(on_floor, epsilon=1e-9)
+    assert same is on_floor
     assert offsets.unary == 0.0 and offsets.pairwise == 0.0
 
 
 def test_shift_lifts_minimum_to_epsilon():
     pot = Potentials([[-2.0, 1.0]], [np.array([[0.5, -0.25], [0.0, 0.0]])])
-    shifted, offsets = shift_nonnegative(pot, epsilon=1e-9)
+    shifted, offsets = shift_to_floor(pot, epsilon=1e-9)
     assert offsets.unary == pytest.approx(2.0 + 1e-9, rel=1e-12)
     assert offsets.pairwise == pytest.approx(0.25 + 1e-9, rel=1e-12)
     assert shifted.unary.min() == pytest.approx(1e-9, rel=1e-6)
@@ -44,14 +52,16 @@ def test_shift_lifts_minimum_to_epsilon():
 
 def test_shift_offset_accounts_for_objective_change():
     rng = np.random.default_rng(4)
-    graph, pot = random_instance(rng, 5, 3, edge_prob=0.6)
-    shifted, offsets = shift_nonnegative(pot)
-    delta = offsets.objective_offset(graph)
-    for _ in range(10):
-        mu = random_marginals(rng, 5, 3)
-        assert objective(graph, shifted, mu) - objective(graph, pot, mu) == pytest.approx(
-            delta, abs=1e-9
-        )
+    # negative minima are lifted, positive ones lowered
+    for low, high in ((-1.0, 1.0), (0.5, 2.0)):
+        graph, pot = random_instance(rng, 5, 3, edge_prob=0.6, low=low, high=high)
+        shifted, offsets = shift_to_floor(pot)
+        delta = offsets.objective_offset(graph)
+        for _ in range(10):
+            mu = random_marginals(rng, 5, 3)
+            assert objective(graph, shifted, mu) - objective(
+                graph, pot, mu
+            ) == pytest.approx(delta, abs=1e-9)
 
 
 def test_gradient_without_edges_is_the_unary():
@@ -81,6 +91,25 @@ def test_gradient_matches_central_differences():
         fd = fd_gradient(graph, pot, mu)
         err = np.max(np.abs(closed - fd)) / max(1.0, np.max(np.abs(fd)))
         assert err < 1e-5
+
+
+def test_solve_steps_along_compute_gradient():
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        n = int(rng.integers(3, 10))
+        k = int(rng.integers(2, 5))
+        graph, pot = random_instance(rng, n, k, edge_prob=0.5)
+        first = []
+        solve(
+            graph,
+            pot,
+            SolverConfig(max_iterations=1),
+            callback=lambda _, mu: first.append(mu.copy()),
+        )
+        shifted, _ = shift_to_floor(pot)
+        mu0 = _initial_marginals(graph, shifted, "uniform")
+        expected = iterate(mu0, compute_gradient(graph, shifted, mu0))
+        np.testing.assert_array_equal(first[0], expected)
 
 
 def test_iterate_known_step():
@@ -178,6 +207,8 @@ def test_solver_config_validation():
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError, match="init"):
         SolverConfig(init="zeros")
+    with pytest.raises(TypeError):
+        SolverConfig(epsilon_shift=1e-6)
 
 
 def test_poisoned_iterate_raises_solver_failure():
