@@ -40,7 +40,7 @@ def brute_force_map(graph, potentials):
             f"instance too large for brute force: {k}^{n} = {total} labelings "
             f"exceeds the limit of {BRUTE_FORCE_LIMIT}"
         )
-    ea = graph.edge_array
+    ea = graph.edges
     eidx = np.arange(graph.num_edges)
     powers = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
@@ -93,7 +93,7 @@ def lbp_map(graph, potentials, max_iters=200, damping=0.5):
         report = SolveReport(0, value, [value], True, time.perf_counter() - t0)
         return labeling, report
 
-    ea = graph.edge_array
+    ea = graph.edges
     # Directed edge d: source src[d] -> target tgt[d]; d and d+num_e are
     # the two directions of stored edge d; rev[d] is the opposite one.
     src = np.concatenate([ea[:, 0], ea[:, 1]])

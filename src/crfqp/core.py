@@ -11,7 +11,6 @@ labelings are scored by the same expression with one-hot rows.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -31,48 +30,51 @@ __all__ = [
 class CrfGraph:
     """Undirected graph over `num_nodes` nodes with `num_labels` labels.
 
-    Edges are canonical (i, j) pairs with i < j; duplicates and
-    self-loops are rejected.  Pairwise potential matrices are oriented
-    along the stored pair: entry (p, q) scores label p on i and q on j.
+    `edges` is a read-only int64 array of shape (num_edges, 2) holding
+    canonical (i, j) pairs with i < j; duplicates and self-loops are
+    rejected.  Pairwise potential matrices are oriented along the stored
+    pair: entry (p, q) scores label p on i and q on j.
     """
 
     num_nodes: int
     num_labels: int
-    edges: tuple
+    edges: np.ndarray
 
     def __init__(self, num_nodes, num_labels, edges=()):
         if num_nodes < 1:
             raise ValueError(f"num_nodes must be positive, got {num_nodes}")
         if num_labels < 2:
             raise ValueError(f"num_labels must be >= 2, got {num_labels}")
-        normalized = []
-        seen = set()
-        for pair in edges:
-            i, j = int(pair[0]), int(pair[1])
-            if i == j:
-                raise ValueError(f"self-loop ({i}, {j}) is not allowed")
-            if not (0 <= i < j < num_nodes):
-                raise ValueError(
-                    f"edge ({i}, {j}) must satisfy 0 <= i < j < {num_nodes}"
-                )
-            if (i, j) in seen:
-                raise ValueError(f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
-            normalized.append((i, j))
+        edges = np.array(edges, dtype=np.int64, order="C")
+        if edges.size == 0:
+            edges = edges.reshape(0, 2)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError(f"edges must have shape (E, 2), got {edges.shape}")
+        i, j = edges.T
+        self_loop = i == j
+        out_of_range = (i < 0) | (i >= j) | (j >= num_nodes)
+        # An out-of-range pair's key may collide with another pair's; it
+        # is still reported as out of range, before any repeat it causes.
+        _, first = np.unique(i * num_nodes + j, return_index=True)
+        repeat = np.ones(len(edges), dtype=bool)
+        repeat[first] = False
+        bad = np.flatnonzero(self_loop | out_of_range | repeat)
+        if bad.size:
+            e = bad[0]
+            pair = f"({i[e]}, {j[e]})"
+            if self_loop[e]:
+                raise ValueError(f"self-loop {pair} is not allowed")
+            if out_of_range[e]:
+                raise ValueError(f"edge {pair} must satisfy 0 <= i < j < {num_nodes}")
+            raise ValueError(f"duplicate edge {pair}")
+        edges.flags.writeable = False
         object.__setattr__(self, "num_nodes", int(num_nodes))
         object.__setattr__(self, "num_labels", int(num_labels))
-        object.__setattr__(self, "edges", tuple(normalized))
+        object.__setattr__(self, "edges", edges)
 
     @property
     def num_edges(self):
         return len(self.edges)
-
-    @cached_property
-    def edge_array(self):
-        """Edges as an int array of shape (num_edges, 2)."""
-        if not self.edges:
-            return np.zeros((0, 2), dtype=np.int64)
-        return np.asarray(self.edges, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -175,7 +177,7 @@ def objective(graph, potentials, marginals):
     mu = check_marginals(marginals, graph.num_nodes, graph.num_labels)
     value = float(np.sum(potentials.unary * mu))
     if graph.num_edges:
-        ea = graph.edge_array
+        ea = graph.edges
         mi = mu[ea[:, 0]]
         mj = mu[ea[:, 1]]
         psi = potentials.pairwise
@@ -190,7 +192,7 @@ def objective_of_labeling(graph, potentials, labeling):
     x = check_labeling(labeling, graph.num_nodes, graph.num_labels)
     value = float(potentials.unary[np.arange(graph.num_nodes), x].sum())
     if graph.num_edges:
-        ea = graph.edge_array
+        ea = graph.edges
         xi = x[ea[:, 0]]
         xj = x[ea[:, 1]]
         eidx = np.arange(graph.num_edges)

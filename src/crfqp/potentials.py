@@ -10,6 +10,7 @@ distance, centroid distance), each term normalized into [0, 1].
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 __all__ = [
     "NodeFeatures",
@@ -62,14 +63,17 @@ class PotentialParams:
 
 def build_edges(features, theta):
     """Connect every pair of nodes with centroid distance strictly below
-    `theta`.  Returns canonical (i, j) pairs with i < j."""
+    `theta`.  Returns an int64 array of shape (E, 2) holding canonical
+    pairs i < j sorted by (i, j)."""
     if len(features) < 1:
         raise ValueError("need at least one node")
     centers = np.stack([f.centroid for f in features])
-    diff = centers[:, None, :] - centers[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    ii, jj = np.nonzero(dist < theta)
-    return [(int(i), int(j)) for i, j in zip(ii, jj) if i < j]
+    # The kd-tree compares squared distances; a slightly wider search
+    # keeps every candidate, and the strict test below decides.
+    pairs = cKDTree(centers).query_pairs(theta * (1 + 1e-9), output_type="ndarray")
+    diff = centers[pairs[:, 0]] - centers[pairs[:, 1]]
+    pairs = pairs[np.sqrt((diff**2).sum(axis=1)) < theta]
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].astype(np.int64)
 
 
 def bhattacharyya_distance(a, b):
@@ -131,8 +135,6 @@ def edge_dissimilarities(features, edges, params):
     stacked feature arrays for speed on large graphs.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if edges.shape[0] == 0:
-        return np.zeros(0)
     hists = np.stack([f.color_histogram for f in features])
     colors = np.stack([f.mean_color for f in features])
     centers = np.stack([f.centroid for f in features])

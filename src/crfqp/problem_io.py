@@ -37,31 +37,21 @@ class ProblemFile:
 
     def equivalent(self, other):
         """Structural equality, used by round-trip checks."""
-        if (
-            self.graph.num_nodes != other.graph.num_nodes
-            or self.graph.num_labels != other.graph.num_labels
-            or self.graph.edges != other.graph.edges
-        ):
-            return False
-        if not np.array_equal(self.potentials.unary, other.potentials.unary):
-            return False
-        if not np.array_equal(self.potentials.pairwise, other.potentials.pairwise):
-            return False
-        if self.constraint_sets.sets != other.constraint_sets.sets:
-            return False
-        if (self.features is None) != (other.features is None):
-            return False
-        if self.features is not None:
-            if len(self.features) != len(other.features):
-                return False
-            for a, b in zip(self.features, other.features):
-                if not (
-                    np.array_equal(a.centroid, b.centroid)
-                    and np.array_equal(a.mean_color, b.mean_color)
-                    and np.array_equal(a.color_histogram, b.color_histogram)
-                ):
-                    return False
-        return True
+
+        def arrays(problem):
+            out = [problem.graph.edges, problem.potentials.unary]
+            out += [problem.potentials.pairwise, problem.features is None]
+            for f in problem.features or ():
+                out += [f.centroid, f.mean_color, f.color_histogram]
+            return out
+
+        # unary's shape carries the node and label counts
+        mine, theirs = arrays(self), arrays(other)
+        return (
+            self.constraint_sets.sets == other.constraint_sets.sets
+            and len(mine) == len(theirs)
+            and all(np.array_equal(a, b) for a, b in zip(mine, theirs))
+        )
 
 
 def _fail(field, message):
@@ -89,6 +79,8 @@ def _as_float_array(value, field, shape):
         _fail(field, "not a numeric array")
     if arr.shape != shape:
         _fail(field, f"expected shape {shape}, got {arr.shape}")
+    if any(isinstance(v, bool) for row in value for v in row):
+        _fail(field, "expected numbers, got a boolean")
     return arr
 
 
@@ -186,7 +178,7 @@ def problem_to_dict(problem):
         "unary": problem.potentials.unary.tolist(),
         "edges": [
             {"i": i, "j": j, "psi": problem.potentials.pairwise[e].tolist()}
-            for e, (i, j) in enumerate(problem.graph.edges)
+            for e, (i, j) in enumerate(problem.graph.edges.tolist())
         ],
         "constraints": [list(group) for group in problem.constraint_sets.sets],
     }

@@ -153,29 +153,31 @@ def reduce_problem(graph, potentials, constraint_sets):
     rho = np.zeros((m, k))
     np.add.at(rho, node_to_super, potentials.unary)
 
-    super_edges = []
-    tau = {}
-    for e, (i, j) in enumerate(graph.edges):
-        a, b = int(node_to_super[i]), int(node_to_super[j])
-        psi = potentials.pairwise[e]
-        if a == b:
-            rho[a] += 2.0 * np.diag(psi)
-            continue
-        key = (a, b) if a < b else (b, a)
-        block = psi if a < b else psi.T
-        if key in tau:
-            tau[key] = tau[key] + block
-        else:
-            tau[key] = block.copy()
-            super_edges.append(key)
+    ends = node_to_super[graph.edges]
+    a, b = ends[:, 0], ends[:, 1]
+    internal = a == b
+    diag = np.diagonal(potentials.pairwise, axis1=1, axis2=2)
+    np.add.at(rho, a[internal], 2.0 * diag[internal])
 
-    super_graph = CrfGraph(m, k, super_edges)
-    pairwise = (
-        np.stack([tau[key] for key in super_edges])
-        if super_edges
-        else np.zeros((0, k, k))
+    crossing = ~internal
+    flip = (a > b)[crossing]
+    pairs = np.sort(ends[crossing], axis=1)
+    blocks = potentials.pairwise[crossing]
+    blocks[flip] = blocks[flip].transpose(0, 2, 1)
+    # Number super-edges by first appearance; each bundle starts from its
+    # first block and adds the rest in edge order.
+    _, first, bundle = np.unique(
+        pairs[:, 0] * m + pairs[:, 1], return_index=True, return_inverse=True
     )
-    return ReducedProblem(super_graph, Potentials(rho, pairwise), node_to_super)
+    order = np.argsort(first)
+    bundle = np.argsort(order)[bundle]
+    tau = blocks[first[order]]
+    rest = np.ones(len(blocks), dtype=bool)
+    rest[first] = False
+    np.add.at(tau, bundle[rest], blocks[rest])
+
+    super_graph = CrfGraph(m, k, pairs[first[order]])
+    return ReducedProblem(super_graph, Potentials(rho, tau), node_to_super)
 
 
 def expand_solution(reduced, reduced_marginals):

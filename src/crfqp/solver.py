@@ -163,7 +163,7 @@ def _quadratic_operator(graph, pairwise):
     dim = n * k
     if not graph.num_edges:
         return sp.csr_matrix((dim, dim))
-    ea = graph.edge_array
+    ea = graph.edges
     sym = 0.5 * (pairwise + pairwise.transpose(0, 2, 1))
     p_idx, q_idx = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
     rows_ij = (ea[:, 0, None, None] * k + p_idx).ravel()

@@ -150,3 +150,34 @@ def single_link_partition(points, radius):
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+
+
+def brute_force_edges(points, theta):
+    """Pairs i < j, in (i, j) order, whose dense-matrix distance is
+    strictly below `theta`."""
+    dist = cdist(points, points)
+    return [
+        (int(i), int(j)) for i, j in zip(*np.nonzero(dist < theta)) if i < j
+    ]
+
+
+def loop_reduction(graph, potentials, node_to_super):
+    """Edge-by-edge supernode merge through a dict: returns the reduced
+    unary, the super-edge list in first-appearance order and the summed
+    pairwise blocks in that order."""
+    k = graph.num_labels
+    unary = np.zeros((int(node_to_super.max()) + 1, k))
+    for i, row in enumerate(potentials.unary):
+        unary[node_to_super[i]] += row
+    blocks = {}
+    for e, (i, j) in enumerate(graph.edges.tolist()):
+        a, b = int(node_to_super[i]), int(node_to_super[j])
+        psi = potentials.pairwise[e]
+        if a == b:
+            unary[a] += 2.0 * np.diag(psi)
+        elif (min(a, b), max(a, b)) in blocks:
+            blocks[min(a, b), max(a, b)] += psi if a < b else psi.T
+        else:
+            blocks[min(a, b), max(a, b)] = (psi if a < b else psi.T).copy()
+    pairwise = np.array(list(blocks.values())).reshape(-1, k, k)
+    return unary, list(blocks), pairwise

@@ -5,8 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from crfqp import generate_scene
+from crfqp import generate_scene, reduce_problem
 from crfqp.bench import (
+    BENCH_NOISE,
     BenchmarkRow,
     benchmark_constraint_sets,
     constraint_prefix,
@@ -14,6 +15,7 @@ from crfqp.bench import (
     parse_csv,
     rows_to_csv,
     run_benchmark,
+    _scene_for_size,
     speedup_summary,
 )
 
@@ -73,6 +75,14 @@ def test_run_benchmark_row_grid():
     # more constraints, fewer free variables
     for offset in (1, 5):
         assert rows[offset + 2].reduced_vars < rows[offset].reduced_vars
+    # reduced_vars counts the supernodes that the reduction builds
+    for size_index, size in enumerate((100, 225)):
+        scene = _scene_for_size(size, size_index, 7, BENCH_NOISE)
+        for f_index, fraction in enumerate((0.25, 0.75)):
+            sets = benchmark_constraint_sets(scene, fraction, size_index)
+            reduced = reduce_problem(scene.graph, scene.potentials, sets)
+            cqp = rows[4 * size_index + 2 * f_index + 1]
+            assert cqp.reduced_vars == reduced.num_supernodes * 7
 
 
 def test_run_benchmark_is_deterministic_up_to_timing():

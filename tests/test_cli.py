@@ -184,6 +184,16 @@ def test_input_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["solve", str(boolean)]) == 2
     assert "i and j must be integers" in capsys.readouterr().err
+    for field in ("unary", "psi"):
+        doc = json.loads(synth(tmp_path).read_text())
+        if field == "unary":
+            doc["unary"][0][0] = True
+        else:
+            doc["edges"][0]["psi"][0][0] = False
+        boolean.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["solve", str(boolean)]) == 2
+        assert "expected numbers, got a boolean" in capsys.readouterr().err
 
 
 def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):

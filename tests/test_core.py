@@ -96,6 +96,27 @@ def test_graph_rejects_bad_edges():
         CrfGraph(3, 2, [(2, 1)])
     with pytest.raises(ValueError, match="0 <= i < j"):
         CrfGraph(3, 2, [(0, 3)])
+    # arrays are checked the same way, and the first bad edge is named
+    with pytest.raises(ValueError, match=r"self-loop \(2, 2\)"):
+        CrfGraph(3, 2, np.array([[0, 1], [2, 2], [0, 1]]))
+    with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
+        CrfGraph(3, 2, np.array([[0, 1], [1, 2], [0, 1], [2, 2]]))
+    with pytest.raises(ValueError, match=r"edge \(-1, 2\) must satisfy 0 <= i < j < 3"):
+        CrfGraph(3, 2, np.array([[0, 1], [-1, 2], [1, 1]]))
+    with pytest.raises(ValueError, match=r"shape \(E, 2\)"):
+        CrfGraph(3, 2, np.array([[0, 1, 2]]))
+    with pytest.raises(ValueError, match=r"shape \(E, 2\)"):
+        CrfGraph(3, 2, np.array([0, 1]))
+    source = np.array([[0, 1], [1, 2]])
+    graph = CrfGraph(3, 2, source)
+    assert graph.edges.dtype == np.int64 and graph.edges.shape == (2, 2)
+    assert not graph.edges.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        graph.edges[0, 0] = 1
+    source[0, 0] = 2  # the graph holds its own copy
+    assert graph.edges.tolist() == [[0, 1], [1, 2]]
+    assert CrfGraph(3, 2, np.zeros((0, 2), dtype=np.int32)).edges.shape == (0, 2)
+    assert CrfGraph(3, 2).edges.shape == (0, 2)
     with pytest.raises(ValueError, match="num_labels"):
         CrfGraph(3, 1)
     with pytest.raises(ValueError, match="num_nodes"):

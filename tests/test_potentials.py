@@ -2,6 +2,7 @@
 Potts-style pairwise matrices."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from crfqp import (
     edge_dissimilarities,
     pairwise_potential,
 )
+from helpers import brute_force_edges
 
 
 def _feat(x, y, color=(0.5, 0.5, 0.5), hist=(1.0, 1.0)):
@@ -77,8 +79,32 @@ def test_histogram_distance_validation():
 
 def test_edges_require_strictly_closer_than_threshold():
     feats = [_feat(0.0, 0.0), _feat(1.0, 0.0)]
-    assert build_edges(feats, 1.0) == []
-    assert build_edges(feats, 1.0 + 1e-9) == [(0, 1)]
+    assert build_edges(feats, 1.0).tolist() == []
+    assert build_edges(feats, 1.0 + 1e-9).tolist() == [[0, 1]]
+    # lattices spaced exactly at theta, the next float above it, and the
+    # diagonal; with exactly representable spacings the axis neighbors
+    # drop out at theta and all 49 come back just above it
+    rng = np.random.default_rng(11)
+    for spacing in (1.0, 0.1, 0.3, 1.1, 2.5, 7.0 / 3.0):
+        cols, rows = np.meshgrid(np.arange(6), np.arange(5))
+        points = spacing * np.column_stack([cols.ravel(), rows.ravel()]) + 0.5
+        feats = [_feat(x, y) for x, y in points]
+        for theta in (spacing, np.nextafter(spacing, np.inf), spacing * np.sqrt(2)):
+            edges = build_edges(feats, theta)
+            assert edges.tolist() == [
+                list(pair) for pair in brute_force_edges(points, theta)
+            ]
+        if spacing in (1.0, 2.5):
+            assert len(build_edges(feats, spacing)) == 0
+            assert len(build_edges(feats, np.nextafter(spacing, np.inf))) == 49
+    for _ in range(100):
+        n = int(rng.integers(1, 40))
+        points = rng.uniform(0.0, 5.0, size=(n, 2))
+        if rng.uniform() < 0.3:
+            points = np.round(points * 2.0) / 2.0  # ties and repeated points
+        theta = float(rng.uniform(0.1, 3.0))
+        edges = build_edges([_feat(x, y) for x, y in points], theta)
+        assert edges.tolist() == [list(pair) for pair in brute_force_edges(points, theta)]
 
 
 def test_grid_edge_counts():
@@ -86,14 +112,39 @@ def test_grid_edge_counts():
     # 4-neighborhood at threshold 1.1: diagonal pairs sit at sqrt(2)
     assert len(build_edges(feats, 1.1)) == 12
     assert len(build_edges(feats, 10.0)) == 36
-    assert build_edges(feats, 1.0) == []
+    assert build_edges(feats, 1.0).tolist() == []
 
 
 def test_edges_are_canonical_pairs():
     feats = [_feat(0.0, 0.0), _feat(0.5, 0.0), _feat(1.0, 0.0)]
     edges = build_edges(feats, 0.6)
-    assert edges == [(0, 1), (1, 2)]
-    assert all(i < j for i, j in edges)
+    assert edges.tolist() == [[0, 1], [1, 2]]
+    assert edges.dtype == np.int64 and edges.shape == (2, 2)
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        n = int(rng.integers(2, 60))
+        points = rng.normal(size=(n, 2))
+        edges = build_edges([_feat(x, y) for x, y in points], 1.0)
+        assert edges.shape == (len(edges), 2)
+        assert np.all(edges[:, 0] < edges[:, 1])
+        keys = edges[:, 0] * n + edges[:, 1]
+        assert np.all(np.diff(keys) > 0)  # sorted by (i, j), no repeats
+
+
+def test_edges_on_large_lattice_use_linear_memory():
+    side = 160
+    cols, rows = np.meshgrid(np.arange(side), np.arange(side))
+    feats = [
+        _feat(c + 0.5, r + 0.5) for c, r in zip(cols.ravel(), rows.ravel())
+    ]
+    tracemalloc.start()
+    try:
+        edges = build_edges(feats, 1.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(edges) == 2 * side * (side - 1) == 50_880
+    assert peak < 32 * 2**20
 
 
 def test_pairwise_matrix_structure():

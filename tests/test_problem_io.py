@@ -40,7 +40,7 @@ def tiny_doc():
 def test_parse_builds_expected_structures():
     problem = problem_from_dict(tiny_doc())
     assert problem.graph.num_nodes == 3
-    assert problem.graph.edges == ((0, 1), (1, 2))
+    assert problem.graph.edges.tolist() == [[0, 1], [1, 2]]
     assert problem.potentials.unary[2, 1] == 2.0
     # the dis shorthand expands to the standard matrix
     want = pairwise_potential(0.5, 2)
@@ -60,6 +60,18 @@ def test_serialization_round_trip_is_identity():
     assert problem_to_dict(again) == doc
     # edges are always written with explicit matrices
     assert "psi" in doc["edges"][1] and "dis" not in doc["edges"][1]
+    # any structural change breaks equivalence
+    for change in (
+        lambda d: d["edges"][1].update(i=0, j=2),
+        lambda d: d["edges"][1]["psi"][0].__setitem__(1, 0.5),
+        lambda d: d["unary"][0].__setitem__(0, 9.0),
+        lambda d: d["features"][2].update(centroid=[5.0, 0.0]),
+        lambda d: d.pop("features"),
+        lambda d: d.update(constraints=[]),
+    ):
+        changed = problem_to_dict(problem)
+        change(changed)
+        assert not problem.equivalent(problem_from_dict(changed))
 
 
 def test_features_and_constraints_are_optional():
@@ -126,6 +138,17 @@ def bad_cases():
         (
             variant(lambda d: d.update(constraints=[[False, True]])),
             r"'constraints\[0\]': must be a list of integers",
+        ),        (
+            variant(lambda d: d.update(unary=[[True, False], [0.0, 1.0], [1.0, 2.0]])),
+            "'unary': expected numbers, got a boolean",
+        ),
+        (
+            variant(
+                lambda d: d["edges"].__setitem__(
+                    0, {"i": 0, "j": 1, "psi": [[1.0, False], [True, 0.5]]}
+                )
+            ),
+            r"'edges\[0\].psi': expected numbers, got a boolean",
         ),
     ]
 

@@ -16,7 +16,12 @@ from crfqp import (
     objective_of_labeling,
     reduce_problem,
 )
-from helpers import random_disjoint_sets, random_instance, random_marginals
+from helpers import (
+    loop_reduction,
+    random_disjoint_sets,
+    random_instance,
+    random_marginals,
+)
 
 
 def test_constraint_matrix_two_nodes_two_labels():
@@ -122,8 +127,27 @@ def test_crossing_edges_merge_with_orientation():
     pot = Potentials(np.zeros((3, 2)), [psi_01, psi_12])
     reduced = reduce_problem(graph, pot, ConstraintSets([(0, 2)]))
     assert reduced.node_to_super.tolist() == [0, 1, 0]
-    assert reduced.super_graph.edges == ((0, 1),)
+    assert reduced.super_graph.edges.tolist() == [[0, 1]]
     np.testing.assert_allclose(reduced.reduced.pairwise[0], psi_01 + psi_12.T)
+
+
+def test_reduction_matches_edge_loop_bitwise():
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        n = int(rng.integers(1, 12))
+        k = int(rng.integers(2, 5))
+        graph, pot = random_instance(rng, n, k, edge_prob=float(rng.uniform(0.2, 0.9)))
+        # shuffled edge order, asymmetric blocks, and signed zeros
+        order = rng.permutation(graph.num_edges)
+        pairwise = pot.pairwise[order] * (rng.uniform(size=pot.pairwise.shape) < 0.8)
+        graph = CrfGraph(n, k, graph.edges[order])
+        pot = Potentials(pot.unary, pairwise)
+        sets = ConstraintSets(random_disjoint_sets(rng, n, max_sets=4))
+        reduced = reduce_problem(graph, pot, sets)
+        unary, super_edges, blocks = loop_reduction(graph, pot, reduced.node_to_super)
+        assert reduced.reduced.unary.tobytes() == unary.tobytes()
+        assert reduced.super_graph.edges.tolist() == [list(e) for e in super_edges]
+        assert reduced.reduced.pairwise.tobytes() == blocks.tobytes()
 
 
 def test_reduction_without_sets_is_identity():
@@ -131,7 +155,7 @@ def test_reduction_without_sets_is_identity():
     graph, pot = random_instance(rng, 6, 3, edge_prob=0.5)
     reduced = reduce_problem(graph, pot, ConstraintSets())
     assert reduced.node_to_super.tolist() == list(range(6))
-    assert reduced.super_graph.edges == graph.edges
+    assert np.array_equal(reduced.super_graph.edges, graph.edges)
     np.testing.assert_array_equal(reduced.reduced.unary, pot.unary)
     np.testing.assert_array_equal(reduced.reduced.pairwise, pot.pairwise)
 
