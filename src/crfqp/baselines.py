@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from .core import _check_dims, extract_labeling, objective_of_labeling
-from .solver import SolveReport, shift_to_floor
+from .solver import SolveReport, _potts_weights, shift_to_floor
 
 __all__ = ["brute_force_map", "lbp_map"]
 
@@ -65,6 +65,51 @@ def brute_force_map(graph, potentials):
     return labeling, best_val
 
 
+def _incoming_slots(tgt, num_nodes, pad):
+    """(max in-degree, N) table of the directed edges entering each node,
+    in edge order; a node with fewer entries is padded with `pad`.
+    Summing messages slot by slot adds them in the order a sequential
+    scatter over `tgt` would."""
+    order = np.argsort(tgt, kind="stable")
+    counts = np.bincount(tgt, minlength=num_nodes)
+    starts = np.cumsum(counts) - counts
+    ends = tgt[order]
+    slots = np.full((counts.max(), num_nodes), pad)
+    slots[np.arange(tgt.size) - starts[ends], ends] = order
+    return slots
+
+
+def _potts_messages(same, differ):
+    """Max-product update for Potts edges in O(K) per message:
+    new[q] = max(base[q] + same, max_{p != q} base[p] + differ).
+
+    Rounding is monotone, so max_p fl(base[p] + c) equals
+    fl(max_p base[p] + c) exactly, and the result matches the dense
+    K x K maximisation bit for bit."""
+
+    def update(base):
+        # running top two of each column, with multiplicity
+        top = base[0].copy()
+        second = np.full_like(top, -np.inf)
+        low = np.empty_like(top)
+        for row in base[1:]:
+            np.minimum(top, row, out=low)
+            np.maximum(second, low, out=second)
+            np.maximum(top, row, out=top)
+        excluded = np.where(base == top, second, top)
+        excluded += differ
+        new = base + same
+        return np.maximum(new, excluded, out=new)
+
+    return update
+
+
+def _dense_messages(psi_dir):
+    """Max-product update for general edges: new[q] = max_p base[p] +
+    psi_dir[p, q], with psi_dir (K, K, 2E) indexed (x_src, x_tgt, d)."""
+    return lambda base: (base[:, None, :] + psi_dir).max(axis=0)
+
+
 def lbp_map(graph, potentials, max_iters=200, damping=0.5):
     """Synchronous max-product belief propagation, decoded per node.
 
@@ -73,6 +118,12 @@ def lbp_map(graph, potentials, max_iters=200, damping=0.5):
     `damping` in [0, 1).  Beliefs are shifted unaries plus incoming
     messages.  The best labeling seen (by objective value) is returned,
     so non-convergence still yields a usable answer.
+
+    When every edge's psi + psi^T is Potts (all diagonal entries
+    bitwise equal, all off-diagonal entries bitwise equal, edge by
+    edge), messages cost O(K) instead of O(K^2); labelings, traces and
+    iteration counts are bitwise those of the dense update, which every
+    other graph uses.
 
     Returns
     -------
@@ -100,28 +151,50 @@ def lbp_map(graph, potentials, max_iters=200, damping=0.5):
     tgt = np.concatenate([ea[:, 1], ea[:, 0]])
     rev = np.concatenate([np.arange(num_e) + num_e, np.arange(num_e)])
     sym2 = shifted.pairwise + shifted.pairwise.transpose(0, 2, 1)
-    psi_dir = np.concatenate([sym2, sym2.transpose(0, 2, 1)])  # (x_src, x_tgt)
+    potts = _potts_weights(sym2)
+    if potts is not None:
+        same, differ = (np.concatenate([w, w]) for w in potts)
+        message = _potts_messages(same, differ)
+    else:
+        psi_dir = np.concatenate([sym2, sym2.transpose(0, 2, 1)])
+        message = _dense_messages(np.ascontiguousarray(psi_dir.transpose(1, 2, 0)))
 
-    messages = np.zeros((2 * num_e, k))
+    # Label-major storage: messages (K, 2E) and beliefs (K, N), so every
+    # reduction over labels runs along the leading axis.  Gathers use
+    # np.take, which keeps that layout (fancy indexing on axis 1 returns
+    # a Fortran-ordered array).  Column 2E of the message buffer stays
+    # zero and fills the unused slots; adding +0.0 changes no belief, as
+    # none is ever -0.0 (they start from floor-shifted unaries).
+    unary = np.ascontiguousarray(shifted.unary.T)
+    slots = _incoming_slots(tgt, n, 2 * num_e)
+    buffer = np.zeros((k, 2 * num_e + 1))
+    messages = buffer[:, :-1]
+
+    def beliefs_now():
+        beliefs = unary.copy()
+        for slot in slots:
+            beliefs += np.take(buffer, slot, axis=1)
+        return beliefs
+
+    def decode(beliefs):
+        labeling = extract_labeling(beliefs.T)
+        return labeling, objective_of_labeling(graph, potentials, labeling)
+
     best_labeling = None
     best_value = -np.inf
     trace = []
     converged = False
     iterations = 0
     for it in range(1, max_iters + 1):
-        beliefs = shifted.unary.copy()
-        np.add.at(beliefs, tgt, messages)
-
-        base = beliefs[src] - messages[rev]
-        new = (base[:, :, None] + psi_dir).max(axis=1)
+        beliefs = beliefs_now()
+        new = message(np.take(beliefs, src, axis=1) - np.take(messages, rev, axis=1))
         new = damping * messages + (1.0 - damping) * new
-        new -= new.max(axis=1, keepdims=True)
+        new -= new.max(axis=0)
         change = float(np.max(np.abs(new - messages)))
-        messages = new
+        messages[...] = new
         iterations = it
 
-        labeling = extract_labeling(beliefs)
-        value = objective_of_labeling(graph, potentials, labeling)
+        labeling, value = decode(beliefs)
         trace.append(value)
         if value > best_value:
             best_value = value
@@ -131,10 +204,7 @@ def lbp_map(graph, potentials, max_iters=200, damping=0.5):
             break
 
     # Decode once more from the final messages.
-    beliefs = shifted.unary.copy()
-    np.add.at(beliefs, tgt, messages)
-    labeling = extract_labeling(beliefs)
-    value = objective_of_labeling(graph, potentials, labeling)
+    labeling, value = decode(beliefs_now())
     trace.append(value)
     if value > best_value:
         best_value = value

@@ -28,6 +28,10 @@ __all__ = [
 # this fraction of the cloud; smaller planes are reported but not removed.
 GROUND_MIN_FRACTION = 0.5
 
+# Most candidate planes scored at once, so scoring holds a points x 64
+# distance block instead of a points x candidates matrix.
+_PLANE_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class CloudParams:
@@ -89,6 +93,11 @@ def _as_points(cloud):
     return pts
 
 
+def _plane_distances(pts, normals, offsets):
+    """(points, planes) matrix of point-to-plane distances."""
+    return np.abs(pts @ normals.T + offsets[None, :])
+
+
 def remove_ground_plane(cloud, params):
     """RANSAC plane fit with a gravity-aligned preference.
 
@@ -118,15 +127,32 @@ def remove_ground_plane(cloud, params):
     normals = normals[valid] / norms[valid, None]
     offsets = -np.einsum("ij,ij->i", normals, p0[valid])
 
-    dists = np.abs(pts @ normals.T + offsets[None, :])
-    counts = (dists <= params.plane_inlier_threshold).sum(axis=0)
+    # Candidates are scored in near-equal blocks of at most _PLANE_BLOCK
+    # planes.  No block is one plane wide unless there is only one plane:
+    # numpy computes a one-column product with gemv, which rounds
+    # differently from the gemm used for wider blocks.
+    num_planes = normals.shape[0]
+    parts = -(-num_planes // _PLANE_BLOCK)
+    bounds = np.arange(parts + 1) * num_planes // parts
+    blocks = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    threshold = params.plane_inlier_threshold
+    counts = np.concatenate(
+        [
+            (_plane_distances(pts, normals[b], offsets[b]) <= threshold).sum(axis=0)
+            for b in blocks
+        ]
+    )
 
     best = counts.max()
     near_best = np.nonzero(counts >= int(np.ceil(0.99 * best)))[0]
     chosen = near_best[np.argmax(np.abs(normals[near_best, 2]))]
     plane = PlaneModel(normals[chosen].copy(), float(offsets[chosen]))
 
-    inlier = dists[:, chosen] <= params.plane_inlier_threshold
+    # Re-evaluating the chosen plane's block repeats the product that
+    # scored it, so its inliers agree with counts[chosen] bit for bit.
+    block = blocks[np.searchsorted(bounds, chosen, side="right") - 1]
+    dists = _plane_distances(pts, normals[block], offsets[block])
+    inlier = dists[:, chosen - block.start] <= threshold
     if inlier.sum() >= GROUND_MIN_FRACTION * n:
         kept = np.nonzero(~inlier)[0]
     else:

@@ -38,6 +38,8 @@ class NodeFeatures:
         hist = np.asarray(color_histogram, dtype=np.float64)
         if centroid.shape != (2,):
             raise ValueError(f"centroid must have shape (2,), got {centroid.shape}")
+        if mean_color.shape != (3,):
+            raise ValueError(f"mean_color must have shape (3,), got {mean_color.shape}")
         if hist.ndim != 1 or hist.size == 0:
             raise ValueError("color_histogram must be a non-empty 1-D array")
         if hist.min() < 0 or hist.sum() <= 0:

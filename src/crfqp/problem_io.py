@@ -9,6 +9,7 @@ matrices, so parse -> serialize -> parse is the identity on structures.
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -72,15 +73,24 @@ def _require(doc, field, kind):
     return value
 
 
-def _as_float_array(value, field, shape):
+# JSON numbers parse to int or float; bool (a subclass of int), str and
+# None would be converted silently by np.asarray
+_NUMBER_TYPES = frozenset((int, float))
+_JSON_NAMES = {bool: "a boolean", str: "a string", type(None): "null"}
+
+
+def _as_float_array(value, field, shape=None):
     try:
         arr = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError):
         _fail(field, "not a numeric array")
-    if arr.shape != shape:
+    if shape is not None and arr.shape != shape:
         _fail(field, f"expected shape {shape}, got {arr.shape}")
-    if any(isinstance(v, bool) for row in value for v in row):
-        _fail(field, "expected numbers, got a boolean")
+    if arr.ndim in (1, 2):
+        scalars = value if arr.ndim == 1 else list(chain.from_iterable(value))
+        if not set(map(type, scalars)) <= _NUMBER_TYPES:
+            bad = next(type(v) for v in scalars if type(v) not in _NUMBER_TYPES)
+            _fail(field, f"expected numbers, got {_JSON_NAMES.get(bad, bad.__name__)}")
     return arr
 
 
@@ -151,14 +161,14 @@ def problem_from_dict(doc):
             where = f"features[{idx}]"
             if not isinstance(entry, dict):
                 _fail(where, "must be an object")
+            arrays = []
+            for key in ("centroid", "mean_color", "color_histogram"):
+                if key not in entry:
+                    _fail(where, f"missing {key}")
+                arrays.append(_as_float_array(entry[key], f"{where}.{key}"))
             try:
-                centroid = np.asarray(entry["centroid"], dtype=np.float64)
-                mean_color = np.asarray(entry["mean_color"], dtype=np.float64)
-                histogram = np.asarray(entry["color_histogram"], dtype=np.float64)
-                features.append(NodeFeatures(centroid, mean_color, histogram))
-            except KeyError as exc:
-                _fail(where, f"missing {exc.args[0]}")
-            except (TypeError, ValueError) as exc:
+                features.append(NodeFeatures(*arrays))
+            except ValueError as exc:
                 _fail(where, str(exc))
         features = tuple(features)
 

@@ -118,8 +118,7 @@ def compute_gradient(graph, potentials, marginals):
     """
     _check_dims(graph, potentials)
     mu = check_marginals(marginals, graph.num_nodes, graph.num_labels)
-    qa = _quadratic_operator(graph, potentials.pairwise) @ mu.ravel()
-    return potentials.unary + 2.0 * qa.reshape(mu.shape)
+    return potentials.unary + 2.0 * _quadratic_operator(graph, potentials.pairwise)(mu)
 
 
 def iterate(marginals, q):
@@ -156,22 +155,55 @@ def _initial_marginals(graph, potentials, strategy):
     return mu / mu.sum(axis=1, keepdims=True)
 
 
+def _potts_weights(sym):
+    """Per-edge (diagonal, off-diagonal) values of symmetric blocks
+    `sym` (E, K, K) when, on every edge, all diagonal entries are
+    bitwise equal and all off-diagonal entries are bitwise equal;
+    None as soon as one edge breaks the pattern."""
+    bits = np.ascontiguousarray(sym).view(np.uint64)
+    eye = np.eye(sym.shape[1], dtype=bool)
+    diag, off = bits[:, eye], bits[:, ~eye]
+    if not ((diag == diag[:, :1]).all() and (off == off[:, :1]).all()):
+        return None
+    return sym[:, 0, 0], sym[:, 0, 1]
+
+
 def _quadratic_operator(graph, pairwise):
-    """Sparse symmetric (N*K, N*K) operator Q with a^T Q a equal to the
-    pairwise objective term and gradient contribution 2 * Q a."""
+    """Pairwise operator matvec(mu) -> (N, K) with sum(mu * matvec(mu))
+    equal to the pairwise objective term and gradient contribution
+    2 * matvec(mu).
+
+    When every edge's symmetric part is Potts, o * 11^T + (d - o) * I,
+    the operator is two N x N adjacencies with 2E non-zeros each:
+    W_delta @ mu + (W_o @ rowsum(mu)) broadcast over labels.  Any other
+    graph uses the general (N*K, N*K) CSR with 2 * E * K^2 non-zeros."""
     n, k = graph.num_nodes, graph.num_labels
-    dim = n * k
     if not graph.num_edges:
-        return sp.csr_matrix((dim, dim))
+        return lambda mu: np.zeros((n, k))
     ea = graph.edges
     sym = 0.5 * (pairwise + pairwise.transpose(0, 2, 1))
+    potts = _potts_weights(sym)
+    if potts is not None:
+        rows = np.concatenate([ea[:, 0], ea[:, 1]])
+        cols = np.concatenate([ea[:, 1], ea[:, 0]])
+
+        def adjacency(weights):
+            data = np.concatenate([weights, weights])
+            return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+
+        diag, off = potts
+        w_delta, w_off = adjacency(diag - off), adjacency(off)
+        return lambda mu: w_delta @ mu + (w_off @ mu.sum(axis=1))[:, None]
+
+    dim = n * k
     p_idx, q_idx = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
     rows_ij = (ea[:, 0, None, None] * k + p_idx).ravel()
     cols_ij = (ea[:, 1, None, None] * k + q_idx).ravel()
     rows = np.concatenate([rows_ij, cols_ij])
     cols = np.concatenate([cols_ij, rows_ij])
     data = np.concatenate([sym.ravel(), sym.ravel()])
-    return sp.csr_matrix((data, (rows, cols)), shape=(dim, dim))
+    quad = sp.csr_matrix((data, (rows, cols)), shape=(dim, dim))
+    return lambda mu: (quad @ mu.ravel()).reshape(n, k)
 
 
 def solve(graph, potentials, config=None, callback=None):
@@ -186,6 +218,13 @@ def solve(graph, potentials, config=None, callback=None):
     config : SolverConfig, optional
     callback : callable, optional
         Called as callback(iteration, marginals) after every update.
+
+    When every edge's symmetric block is Potts (all diagonal entries
+    bitwise equal, all off-diagonal entries bitwise equal, edge by
+    edge), the pairwise term runs on two N x N adjacencies with 2E
+    non-zeros instead of a K x K block per edge; traces agree with the
+    general operator to roundoff, as the sums run in another order.
+    Any non-Potts edge sends the whole graph to the general operator.
 
     Returns
     -------
@@ -206,12 +245,12 @@ def solve(graph, potentials, config=None, callback=None):
     t0 = time.perf_counter()
     shifted, offsets = shift_to_floor(potentials)
     offset = offsets.objective_offset(graph)
-    quad = _quadratic_operator(graph, shifted.pairwise)
+    matvec = _quadratic_operator(graph, shifted.pairwise)
     b = shifted.unary.ravel()
 
     mu = _initial_marginals(graph, shifted, config.init)
     a = mu.ravel()
-    qa = quad @ a
+    qa = matvec(mu).ravel()
     trace = [float(b @ a + a @ qa) - offset]
     converged = False
     iterations = 0
@@ -225,7 +264,7 @@ def solve(graph, potentials, config=None, callback=None):
         delta = float(np.max(np.abs(new_mu - mu)))
         mu = new_mu
         a = mu.ravel()
-        qa = quad @ a
+        qa = matvec(mu).ravel()
         trace.append(float(b @ a + a @ qa) - offset)
         iterations = it
         if callback is not None:

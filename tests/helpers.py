@@ -6,11 +6,19 @@ compare the implementation against itself.
 """
 
 import itertools
+import time
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from crfqp import CrfGraph, Potentials
+from crfqp import (
+    CrfGraph,
+    Potentials,
+    SolveReport,
+    extract_labeling,
+    objective_of_labeling,
+    shift_to_floor,
+)
 
 
 def random_graph(rng, num_nodes, num_labels, edge_prob=0.4):
@@ -28,6 +36,29 @@ def random_instance(rng, num_nodes, num_labels, edge_prob=0.4, low=-1.0, high=1.
     unary = rng.uniform(low, high, size=(num_nodes, num_labels))
     pairwise = rng.uniform(low, high, size=(graph.num_edges, num_labels, num_labels))
     return graph, Potentials(unary, pairwise)
+
+
+def random_potts_instance(rng, num_nodes, num_labels, edge_prob=0.4):
+    """Random graph whose every pairwise block is symmetric Potts: one
+    random diagonal value and one random off-diagonal value per edge,
+    either of which may be the larger."""
+    graph = random_graph(rng, num_nodes, num_labels, edge_prob)
+    unary = rng.uniform(-1.0, 1.0, size=(num_nodes, num_labels))
+    diag = rng.uniform(-1.0, 1.0, size=(graph.num_edges, 1, 1))
+    off = rng.uniform(-1.0, 1.0, size=(graph.num_edges, 1, 1))
+    pairwise = np.where(np.eye(num_labels, dtype=bool), diag, off)
+    return graph, Potentials(unary, pairwise)
+
+
+def loop_pairwise_matvec(graph, pairwise, mu):
+    """Edge-by-edge pairwise gradient half: for each edge, the symmetric
+    part of its block times the other end's marginals."""
+    out = np.zeros_like(mu, dtype=np.float64)
+    for e, (i, j) in enumerate(graph.edges.tolist()):
+        sym = 0.5 * (pairwise[e] + pairwise[e].T)
+        out[i] += sym @ mu[j]
+        out[j] += sym.T @ mu[i]
+    return out
 
 
 def random_marginals(rng, num_nodes, num_labels):
@@ -181,3 +212,94 @@ def loop_reduction(graph, potentials, node_to_super):
             blocks[min(a, b), max(a, b)] = (psi if a < b else psi.T).copy()
     pairwise = np.array(list(blocks.values())).reshape(-1, k, k)
     return unary, list(blocks), pairwise
+
+
+def full_matrix_ground_plane(cloud, params):
+    """RANSAC ground removal scored through one points x candidates
+    distance matrix.  Returns (normal, offset, kept_indices)."""
+    pts = np.asarray(cloud, dtype=np.float64)
+    n = pts.shape[0]
+    rng = np.random.default_rng(params.rng_seed)
+    samples = rng.integers(0, n, size=(params.ransac_iterations, 3))
+    p0 = pts[samples[:, 0]]
+    normals = np.cross(pts[samples[:, 1]] - p0, pts[samples[:, 2]] - p0)
+    norms = np.linalg.norm(normals, axis=1)
+    valid = norms > 1e-12
+    normals = normals[valid] / norms[valid, None]
+    offsets = -np.einsum("ij,ij->i", normals, p0[valid])
+    dists = np.abs(pts @ normals.T + offsets[None, :])
+    counts = (dists <= params.plane_inlier_threshold).sum(axis=0)
+    near_best = np.nonzero(counts >= int(np.ceil(0.99 * counts.max())))[0]
+    chosen = near_best[np.argmax(np.abs(normals[near_best, 2]))]
+    inlier = dists[:, chosen] <= params.plane_inlier_threshold
+    kept = np.nonzero(~inlier)[0] if inlier.sum() >= 0.5 * n else np.arange(n)
+    return normals[chosen], float(offsets[chosen]), kept
+
+
+def dense_lbp(graph, potentials, max_iters=200, damping=0.5):
+    """Max-product LBP with node-major messages, a dense K x K
+    maximisation per message and `np.add.at` belief sums: the reference
+    that `lbp_map` must reproduce bit for bit."""
+    t0 = time.perf_counter()
+    n, k = graph.num_nodes, graph.num_labels
+    shifted, _ = shift_to_floor(potentials)
+
+    num_e = graph.num_edges
+    if num_e == 0:
+        labeling = extract_labeling(shifted.unary)
+        value = objective_of_labeling(graph, potentials, labeling)
+        report = SolveReport(0, value, [value], True, time.perf_counter() - t0)
+        return labeling, report
+
+    ea = graph.edges
+    src = np.concatenate([ea[:, 0], ea[:, 1]])
+    tgt = np.concatenate([ea[:, 1], ea[:, 0]])
+    rev = np.concatenate([np.arange(num_e) + num_e, np.arange(num_e)])
+    sym2 = shifted.pairwise + shifted.pairwise.transpose(0, 2, 1)
+    psi_dir = np.concatenate([sym2, sym2.transpose(0, 2, 1)])  # (x_src, x_tgt)
+
+    messages = np.zeros((2 * num_e, k))
+    best_labeling = None
+    best_value = -np.inf
+    trace = []
+    converged = False
+    iterations = 0
+    for it in range(1, max_iters + 1):
+        beliefs = shifted.unary.copy()
+        np.add.at(beliefs, tgt, messages)
+
+        base = beliefs[src] - messages[rev]
+        new = (base[:, :, None] + psi_dir).max(axis=1)
+        new = damping * messages + (1.0 - damping) * new
+        new -= new.max(axis=1, keepdims=True)
+        change = float(np.max(np.abs(new - messages)))
+        messages = new
+        iterations = it
+
+        labeling = extract_labeling(beliefs)
+        value = objective_of_labeling(graph, potentials, labeling)
+        trace.append(value)
+        if value > best_value:
+            best_value = value
+            best_labeling = labeling
+        if change < 1e-6:
+            converged = True
+            break
+
+    beliefs = shifted.unary.copy()
+    np.add.at(beliefs, tgt, messages)
+    labeling = extract_labeling(beliefs)
+    value = objective_of_labeling(graph, potentials, labeling)
+    trace.append(value)
+    if value > best_value:
+        best_value = value
+        best_labeling = labeling
+
+    report = SolveReport(
+        iterations=iterations,
+        final_objective=best_value,
+        objective_trace=trace,
+        converged=converged,
+        wall_time=time.perf_counter() - t0,
+    )
+    return best_labeling, report

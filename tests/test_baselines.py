@@ -3,9 +3,26 @@
 import numpy as np
 import pytest
 
-from crfqp import CrfGraph, Potentials, brute_force_map, lbp_map
-from crfqp.baselines import BRUTE_FORCE_LIMIT
-from helpers import enumerate_map, random_instance, random_tree
+from crfqp import (
+    ConstraintSets,
+    CrfGraph,
+    Potentials,
+    brute_force_map,
+    generate_scene,
+    lbp_map,
+    reduce_problem,
+    shift_to_floor,
+)
+from crfqp.baselines import BRUTE_FORCE_LIMIT, _incoming_slots
+from crfqp.solver import _potts_weights
+from helpers import (
+    dense_lbp,
+    enumerate_map,
+    random_disjoint_sets,
+    random_instance,
+    random_potts_instance,
+    random_tree,
+)
 
 
 def test_brute_force_single_node():
@@ -122,3 +139,69 @@ def test_lbp_damping_validation_and_iteration_cap():
         lbp_map(graph, pot, damping=1.0)
     _, report = lbp_map(graph, pot, max_iters=3)
     assert report.iterations <= 3
+
+
+def _assert_same_run(graph, pot, **kwargs):
+    labeling, report = lbp_map(graph, pot, **kwargs)
+    want_lab, want = dense_lbp(graph, pot, **kwargs)
+    assert labeling.tolist() == want_lab.tolist()
+    assert report.objective_trace == want.objective_trace
+    assert report.final_objective == want.final_objective
+    assert (report.iterations, report.converged) == (want.iterations, want.converged)
+
+
+def _is_potts(pot):
+    """Whether lbp_map takes the Potts path: it tests the shifted blocks."""
+    psi = shift_to_floor(pot)[0].pairwise
+    return _potts_weights(psi + psi.transpose(0, 2, 1)) is not None
+
+
+def test_lbp_matches_dense_reference_bitwise_on_potts_scenes():
+    for seed in range(4):
+        scene = generate_scene(18, 15, num_objects=3, num_labels=5, seed=seed)
+        assert _is_potts(scene.potentials)
+        for kwargs in ({}, {"max_iters": 7}, {"damping": 0.0, "max_iters": 40}):
+            _assert_same_run(scene.graph, scene.potentials, **kwargs)
+    rng = np.random.default_rng(73)
+    for _ in range(30):
+        n = int(rng.integers(2, 25))
+        graph, pot = random_potts_instance(rng, n, int(rng.integers(2, 7)))
+        sets = ConstraintSets(random_disjoint_sets(rng, n, max_sets=4))
+        reduced = reduce_problem(graph, pot, sets)
+        for g, p in ((graph, pot), (reduced.super_graph, reduced.reduced)):
+            assert _is_potts(p)
+            _assert_same_run(g, p, max_iters=60)
+
+
+def test_lbp_matches_dense_reference_bitwise_on_general_blocks():
+    rng = np.random.default_rng(79)
+    for _ in range(30):
+        n = int(rng.integers(2, 25))
+        graph, pot = random_instance(rng, n, int(rng.integers(2, 6)), edge_prob=0.3)
+        if graph.num_edges:
+            assert not _is_potts(pot)
+        _assert_same_run(graph, pot, max_iters=60)
+    # a Potts graph with one entry of one block moved off the pattern
+    graph, pot = random_potts_instance(np.random.default_rng(83), 12, 4, edge_prob=0.5)
+    pairwise = pot.pairwise.copy()
+    pairwise[0, 1, 2] += 1e-9
+    moved = Potentials(pot.unary, pairwise)
+    assert _is_potts(pot) and not _is_potts(moved)
+    _assert_same_run(graph, moved)
+
+
+def test_slot_sums_match_sequential_scatter():
+    rng = np.random.default_rng(89)
+    for _ in range(20):
+        n, k, d = int(rng.integers(1, 12)), int(rng.integers(2, 6)), int(rng.integers(1, 80))
+        tgt = rng.integers(0, n, size=d)
+        # magnitudes spread wide, so summation order shows in the low bits
+        messages = rng.normal(size=(k, d)) * 10.0 ** rng.integers(-8, 8, size=(k, d))
+        base = rng.uniform(0.5, 1.0, size=(n, k))
+        want = base.copy()
+        np.add.at(want, tgt, messages.T)
+        padded = np.concatenate([messages, np.zeros((k, 1))], axis=1)
+        got = base.T.copy()
+        for slot in _incoming_slots(tgt, n, d):
+            got += padded[:, slot]
+        assert np.array_equal(got.T, want)

@@ -185,15 +185,26 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert cli.main(["solve", str(boolean)]) == 2
     assert "i and j must be integers" in capsys.readouterr().err
     for field in ("unary", "psi"):
+        for value, kind in ((True, "a boolean"), ("1.5", "a string")):
+            doc = json.loads(synth(tmp_path).read_text())
+            if field == "unary":
+                doc["unary"][0][0] = value
+            else:
+                doc["edges"][0]["psi"][0][0] = value
+            boolean.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert cli.main(["solve", str(boolean)]) == 2
+            assert f"expected numbers, got {kind}" in capsys.readouterr().err
+    for key, value, message in (
+        ("centroid", [True, False], "expected numbers, got a boolean"),
+        ("mean_color", [0.5], "mean_color must have shape (3,)"),
+    ):
         doc = json.loads(synth(tmp_path).read_text())
-        if field == "unary":
-            doc["unary"][0][0] = True
-        else:
-            doc["edges"][0]["psi"][0][0] = False
+        doc["features"][0][key] = value
         boolean.write_text(json.dumps(doc))
         capsys.readouterr()
         assert cli.main(["solve", str(boolean)]) == 2
-        assert "expected numbers, got a boolean" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,7 @@
 """Ground-plane removal, clustering, and cloud-to-constraint extraction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,10 @@ from crfqp import (
     NodeProjection,
     build_constraint_sets,
     euclidean_cluster,
+    generate_scene,
     remove_ground_plane,
 )
-from helpers import single_link_partition
+from helpers import full_matrix_ground_plane, single_link_partition
 
 
 def grid_plane(side, spacing=1.0, z=0.0):
@@ -59,6 +62,38 @@ def test_ground_removal_is_deterministic():
     assert np.array_equal(kept_a, kept_b)
     assert np.array_equal(plane_a.normal, plane_b.normal)
     assert plane_a.offset == plane_b.offset
+
+
+def test_ground_removal_matches_full_matrix_oracle():
+    rng = np.random.default_rng(13)
+    cases = []
+    for seed in range(20):
+        scene = generate_scene(24, 24, num_objects=3, num_labels=4, seed=seed)
+        cases.append((scene.cloud, CloudParams(rng_seed=seed)))
+    # candidate counts on both sides of a block boundary, and one plane
+    for iterations in (1, 2, 63, 64, 65, 129, 200):
+        cloud = np.vstack([grid_plane(15), blob(rng, (3.0, 3.0, 2.0), 80)])
+        cloud += rng.normal(scale=0.05, size=cloud.shape)
+        cases.append((cloud, CloudParams(ransac_iterations=iterations, rng_seed=iterations)))
+    for cloud, params in cases:
+        plane, kept = remove_ground_plane(cloud, params)
+        normal, offset, want_kept = full_matrix_ground_plane(cloud, params)
+        assert np.array_equal(plane.normal, normal)
+        assert plane.offset == offset
+        assert np.array_equal(kept, want_kept)
+
+
+def test_ground_removal_memory_is_linear_in_points():
+    rng = np.random.default_rng(17)
+    cloud = np.vstack([grid_plane(80, spacing=0.25), blob(rng, (5.0, 5.0, 3.0), 1600)])
+    tracemalloc.start()
+    try:
+        remove_ground_plane(cloud, CloudParams(ransac_iterations=500))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a points x candidates distance matrix alone would be 30 MB
+    assert peak < 12 * 2**20
 
 
 def test_degenerate_clouds_are_rejected():

@@ -234,6 +234,9 @@ def test_vectorized_dissimilarities_match_scalar():
 def test_feature_validation():
     with pytest.raises(ValueError, match="centroid"):
         NodeFeatures((1.0, 2.0, 3.0), (0, 0, 0), (1.0,))
+    for color in ((0.5,), (0.1, 0.2, 0.3, 0.4), ((0.1, 0.2, 0.3),)):
+        with pytest.raises(ValueError, match=r"mean_color must have shape \(3,\)"):
+            NodeFeatures((0.0, 0.0), color, (1.0,))
     with pytest.raises(ValueError, match="histogram"):
         NodeFeatures((0.0, 0.0), (0, 0, 0), ())
     with pytest.raises(ValueError, match="nonnegative"):

@@ -150,6 +150,31 @@ def bad_cases():
             ),
             r"'edges\[0\].psi': expected numbers, got a boolean",
         ),
+        # numeric strings would parse through np.asarray
+        (
+            variant(lambda d: d["unary"][1].__setitem__(0, "1.5")),
+            "'unary': expected numbers, got a string",
+        ),
+        (
+            variant(lambda d: d["edges"][0]["psi"][1].__setitem__(1, "0.5")),
+            r"'edges\[0\].psi': expected numbers, got a string",
+        ),
+        (
+            variant(lambda d: d["features"][0].update(centroid=[True, False])),
+            r"'features\[0\].centroid': expected numbers, got a boolean",
+        ),
+        (
+            variant(lambda d: d["features"][1].update(mean_color=[0.1, "0.2", 0.3])),
+            r"'features\[1\].mean_color': expected numbers, got a string",
+        ),
+        (
+            variant(lambda d: d["features"][2].update(color_histogram=[0.5, False])),
+            r"'features\[2\].color_histogram': expected numbers, got a boolean",
+        ),
+        (
+            variant(lambda d: d["features"][0].update(mean_color=[0.5])),
+            r"'features\[0\]': mean_color must have shape \(3,\)",
+        ),
     ]
 
 

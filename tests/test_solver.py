@@ -14,16 +14,20 @@ from crfqp import (
     extract_labeling,
     iterate,
     objective,
+    pairwise_potential,
+    reduce_problem,
     shift_to_floor,
     solve,
     solve_constrained,
 )
-from crfqp.solver import _initial_marginals
+from crfqp.solver import _initial_marginals, _potts_weights, _quadratic_operator
 from helpers import (
     fd_gradient,
+    loop_pairwise_matvec,
     random_disjoint_sets,
     random_instance,
     random_marginals,
+    random_potts_instance,
 )
 
 
@@ -82,10 +86,12 @@ def test_gradient_two_node_identity_edge():
 
 def test_gradient_matches_central_differences():
     rng = np.random.default_rng(29)
-    for _ in range(20):
+    for trial in range(40):
         n = int(rng.integers(3, 8))
         k = int(rng.integers(2, 4))
-        graph, pot = random_instance(rng, n, k, edge_prob=0.6)
+        # odd trials are Potts, so the gradient runs the Potts operator
+        make = random_potts_instance if trial % 2 else random_instance
+        graph, pot = make(rng, n, k, edge_prob=0.6)
         mu = random_marginals(rng, n, k)
         closed = compute_gradient(graph, pot, mu)
         fd = fd_gradient(graph, pot, mu)
@@ -95,10 +101,11 @@ def test_gradient_matches_central_differences():
 
 def test_solve_steps_along_compute_gradient():
     rng = np.random.default_rng(31)
-    for _ in range(10):
+    for trial in range(20):
         n = int(rng.integers(3, 10))
         k = int(rng.integers(2, 5))
-        graph, pot = random_instance(rng, n, k, edge_prob=0.5)
+        make = random_potts_instance if trial % 2 else random_instance
+        graph, pot = make(rng, n, k, edge_prob=0.5)
         first = []
         solve(
             graph,
@@ -110,6 +117,59 @@ def test_solve_steps_along_compute_gradient():
         mu0 = _initial_marginals(graph, shifted, "uniform")
         expected = iterate(mu0, compute_gradient(graph, shifted, mu0))
         np.testing.assert_array_equal(first[0], expected)
+
+
+def _operator_error(graph, pairwise, mu):
+    got = _quadratic_operator(graph, pairwise)(mu)
+    want = loop_pairwise_matvec(graph, pairwise, mu)
+    assert got.shape == want.shape
+    return np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
+
+
+def test_potts_operator_matches_edge_loop():
+    rng = np.random.default_rng(37)
+    for trial in range(60):
+        n = int(rng.integers(2, 30))
+        k = int(rng.integers(2, 8))
+        graph, pot = random_potts_instance(rng, n, k, edge_prob=0.3)
+        if trial % 3 == 0:
+            dis = rng.uniform(0.0, 1.0, size=graph.num_edges)
+            pot = Potentials(pot.unary, pairwise_potential(dis, k))
+        sets = random_disjoint_sets(rng, n, max_sets=4)
+        reduced = reduce_problem(graph, pot, ConstraintSets(sets))
+        # supernode merging sums and transposes Potts blocks: still Potts
+        cases = ((graph, pot), (reduced.super_graph, reduced.reduced))
+        for g, p in cases:
+            if not g.num_edges:
+                continue
+            assert _potts_weights(0.5 * (p.pairwise + p.pairwise.transpose(0, 2, 1)))
+            mu = random_marginals(rng, g.num_nodes, k)
+            assert _operator_error(g, p.pairwise, mu) < 1e-12
+    # dense blocks take the K x K operator, checked against the same loop
+    for _ in range(20):
+        graph, pot = random_instance(rng, 8, 4, edge_prob=0.5)
+        mu = random_marginals(rng, 8, 4)
+        assert _operator_error(graph, pot.pairwise, mu) < 1e-12
+
+
+def test_potts_detection_is_bitwise_and_per_graph():
+    eye = np.eye(3, dtype=bool)
+    sym = np.where(eye, np.array([0.75, -2.0])[:, None, None], np.array([0.25, 0.5])[:, None, None])
+    diag, off = _potts_weights(sym)
+    assert diag.tolist() == [0.75, -2.0] and off.tolist() == [0.25, 0.5]
+    # one entry of one block moved by one ulp sends the whole graph to
+    # the general path
+    for p, q in ((0, 1), (2, 1), (1, 1)):
+        moved = sym.copy()
+        moved[1, p, q] = np.nextafter(moved[1, p, q], np.inf)
+        assert _potts_weights(moved) is None
+    graph = CrfGraph(3, 3, [(0, 1), (1, 2)])
+    moved = sym.copy()
+    moved[0, 0, 2] = moved[0, 2, 0] = np.nextafter(0.25, 1.0)
+    mu = random_marginals(np.random.default_rng(3), 3, 3)
+    assert _potts_weights(0.5 * (moved + moved.transpose(0, 2, 1))) is None
+    assert _operator_error(graph, moved, mu) < 1e-15
+    assert _operator_error(graph, sym, mu) < 1e-15
 
 
 def test_iterate_known_step():
