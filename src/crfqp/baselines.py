@@ -19,6 +19,9 @@ __all__ = ["brute_force_map", "lbp_map"]
 
 BRUTE_FORCE_LIMIT = 10**7
 _CHUNK = 1 << 14
+# Fewest nodes a belief slot must cover; narrower slots cost more in
+# Python overhead than a scatter of their edges does.
+_MIN_SLOT_WIDTH = 32
 
 
 def brute_force_map(graph, potentials):
@@ -65,18 +68,47 @@ def brute_force_map(graph, potentials):
     return labeling, best_val
 
 
-def _incoming_slots(tgt, num_nodes, pad):
-    """(max in-degree, N) table of the directed edges entering each node,
-    in edge order; a node with fewer entries is padded with `pad`.
-    Summing messages slot by slot adds them in the order a sequential
-    scatter over `tgt` would."""
-    order = np.argsort(tgt, kind="stable")
+def _belief_sum(tgt, num_nodes):
+    """Sum incoming messages into beliefs in edge order.
+
+    Nodes are ranked by in-degree, largest first; node i sits at column
+    rank[i] of the beliefs.  Slot s holds the s-th incoming directed
+    edge of every node with in-degree > s, so its targets are ranks
+    0..w-1, one contiguous slice.  Slots narrower than _MIN_SLOT_WIDTH
+    are not formed: their edges go through one sequential scatter in
+    edge order, so a hub node costs no Python step per neighbour.
+    Either way each node adds its messages in the order a sequential
+    scatter over `tgt` would, and every directed edge is held once.
+
+    Returns
+    -------
+    (rank, add) : (ndarray, callable)
+        add(beliefs, messages) adds (K, D) messages into (K, N)
+        rank-ordered beliefs in place.
+    """
     counts = np.bincount(tgt, minlength=num_nodes)
-    starts = np.cumsum(counts) - counts
-    ends = tgt[order]
-    slots = np.full((counts.max(), num_nodes), pad)
-    slots[np.arange(tgt.size) - starts[ends], ends] = order
-    return slots
+    ranked = np.argsort(-counts, kind="stable")
+    rank = np.empty_like(ranked)
+    rank[ranked] = np.arange(num_nodes)
+    by_target = np.argsort(tgt, kind="stable")
+    first = np.cumsum(counts) - counts
+    position = np.empty_like(by_target)
+    position[by_target] = np.arange(tgt.size) - first[tgt[by_target]]
+
+    widths = np.searchsorted(-counts[ranked], -np.arange(counts.max()), side="left")
+    widths = widths[widths >= _MIN_SLOT_WIDTH]
+    first = first[ranked]
+    slots = [by_target[first[:w] + s] for s, w in enumerate(widths)]
+    tail = np.nonzero(position >= widths.size)[0]
+    tail_rank = rank[tgt[tail]]
+
+    def add(beliefs, messages):
+        for edges in slots:
+            beliefs[:, : edges.size] += np.take(messages, edges, axis=1)
+        if tail.size:
+            np.add.at(beliefs.T, tail_rank, np.take(messages, tail, axis=1).T)
+
+    return rank, add
 
 
 def _potts_messages(same, differ):
@@ -162,22 +194,21 @@ def lbp_map(graph, potentials, max_iters=200, damping=0.5):
     # Label-major storage: messages (K, 2E) and beliefs (K, N), so every
     # reduction over labels runs along the leading axis.  Gathers use
     # np.take, which keeps that layout (fancy indexing on axis 1 returns
-    # a Fortran-ordered array).  Column 2E of the message buffer stays
-    # zero and fills the unused slots; adding +0.0 changes no belief, as
-    # none is ever -0.0 (they start from floor-shifted unaries).
-    unary = np.ascontiguousarray(shifted.unary.T)
-    slots = _incoming_slots(tgt, n, 2 * num_e)
-    buffer = np.zeros((k, 2 * num_e + 1))
-    messages = buffer[:, :-1]
+    # a Fortran-ordered array).  Belief columns are in in-degree rank
+    # order (see _belief_sum); labelings are mapped back on decoding.
+    rank, add_messages = _belief_sum(tgt, n)
+    src_col = rank[src]
+    unary = np.empty((k, n))
+    unary[:, rank] = shifted.unary.T
+    messages = np.zeros((k, 2 * num_e))
 
     def beliefs_now():
         beliefs = unary.copy()
-        for slot in slots:
-            beliefs += np.take(buffer, slot, axis=1)
+        add_messages(beliefs, messages)
         return beliefs
 
     def decode(beliefs):
-        labeling = extract_labeling(beliefs.T)
+        labeling = extract_labeling(beliefs.T)[rank]
         return labeling, objective_of_labeling(graph, potentials, labeling)
 
     best_labeling = None
@@ -187,11 +218,11 @@ def lbp_map(graph, potentials, max_iters=200, damping=0.5):
     iterations = 0
     for it in range(1, max_iters + 1):
         beliefs = beliefs_now()
-        new = message(np.take(beliefs, src, axis=1) - np.take(messages, rev, axis=1))
+        new = message(np.take(beliefs, src_col, axis=1) - np.take(messages, rev, axis=1))
         new = damping * messages + (1.0 - damping) * new
         new -= new.max(axis=0)
         change = float(np.max(np.abs(new - messages)))
-        messages[...] = new
+        messages = new
         iterations = it
 
         labeling, value = decode(beliefs)

@@ -28,9 +28,9 @@ __all__ = [
 # this fraction of the cloud; smaller planes are reported but not removed.
 GROUND_MIN_FRACTION = 0.5
 
-# Most candidate planes scored at once, so scoring holds a points x 64
-# distance block instead of a points x candidates matrix.
-_PLANE_BLOCK = 64
+# Most candidate planes scored at once, so scoring holds a 16 x points
+# distance block instead of a candidates x points matrix.
+_PLANE_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,14 @@ def _as_points(cloud):
 
 
 def _plane_distances(pts, normals, offsets):
-    """(points, planes) matrix of point-to-plane distances."""
-    return np.abs(pts @ normals.T + offsets[None, :])
+    """(planes, points) matrix of point-to-plane distances, computed
+    elementwise so each row is the same whichever planes share it."""
+    x, y, z = pts.T
+    dists = normals[:, :1] * x
+    dists += normals[:, 1:2] * y
+    dists += normals[:, 2:] * z
+    dists += offsets[:, None]
+    return np.abs(dists, out=dists)
 
 
 def remove_ground_plane(cloud, params):
@@ -127,20 +133,10 @@ def remove_ground_plane(cloud, params):
     normals = normals[valid] / norms[valid, None]
     offsets = -np.einsum("ij,ij->i", normals, p0[valid])
 
-    # Candidates are scored in near-equal blocks of at most _PLANE_BLOCK
-    # planes.  No block is one plane wide unless there is only one plane:
-    # numpy computes a one-column product with gemv, which rounds
-    # differently from the gemm used for wider blocks.
-    num_planes = normals.shape[0]
-    parts = -(-num_planes // _PLANE_BLOCK)
-    bounds = np.arange(parts + 1) * num_planes // parts
-    blocks = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     threshold = params.plane_inlier_threshold
+    blocks = [slice(b, b + _PLANE_BLOCK) for b in range(0, normals.shape[0], _PLANE_BLOCK)]
     counts = np.concatenate(
-        [
-            (_plane_distances(pts, normals[b], offsets[b]) <= threshold).sum(axis=0)
-            for b in blocks
-        ]
+        [(_plane_distances(pts, normals[b], offsets[b]) <= threshold).sum(axis=1) for b in blocks]
     )
 
     best = counts.max()
@@ -148,11 +144,8 @@ def remove_ground_plane(cloud, params):
     chosen = near_best[np.argmax(np.abs(normals[near_best, 2]))]
     plane = PlaneModel(normals[chosen].copy(), float(offsets[chosen]))
 
-    # Re-evaluating the chosen plane's block repeats the product that
-    # scored it, so its inliers agree with counts[chosen] bit for bit.
-    block = blocks[np.searchsorted(bounds, chosen, side="right") - 1]
-    dists = _plane_distances(pts, normals[block], offsets[block])
-    inlier = dists[:, chosen - block.start] <= threshold
+    column = slice(chosen, chosen + 1)
+    inlier = _plane_distances(pts, normals[column], offsets[column])[0] <= threshold
     if inlier.sum() >= GROUND_MIN_FRACTION * n:
         kept = np.nonzero(~inlier)[0]
     else:

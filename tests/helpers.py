@@ -215,7 +215,7 @@ def loop_reduction(graph, potentials, node_to_super):
 
 
 def full_matrix_ground_plane(cloud, params):
-    """RANSAC ground removal scored through one points x candidates
+    """RANSAC ground removal scored through one candidates x points
     distance matrix.  Returns (normal, offset, kept_indices)."""
     pts = np.asarray(cloud, dtype=np.float64)
     n = pts.shape[0]
@@ -227,11 +227,13 @@ def full_matrix_ground_plane(cloud, params):
     valid = norms > 1e-12
     normals = normals[valid] / norms[valid, None]
     offsets = -np.einsum("ij,ij->i", normals, p0[valid])
-    dists = np.abs(pts @ normals.T + offsets[None, :])
-    counts = (dists <= params.plane_inlier_threshold).sum(axis=0)
+    x, y, z = pts.T
+    dists = normals[:, :1] * x + normals[:, 1:2] * y + normals[:, 2:] * z + offsets[:, None]
+    dists = np.abs(dists)
+    counts = (dists <= params.plane_inlier_threshold).sum(axis=1)
     near_best = np.nonzero(counts >= int(np.ceil(0.99 * counts.max())))[0]
     chosen = near_best[np.argmax(np.abs(normals[near_best, 2]))]
-    inlier = dists[:, chosen] <= params.plane_inlier_threshold
+    inlier = dists[chosen] <= params.plane_inlier_threshold
     kept = np.nonzero(~inlier)[0] if inlier.sum() >= 0.5 * n else np.arange(n)
     return normals[chosen], float(offsets[chosen]), kept
 

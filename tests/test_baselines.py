@@ -1,5 +1,7 @@
 """Exhaustive MAP search and loopy max-sum against enumeration oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from crfqp import (
     reduce_problem,
     shift_to_floor,
 )
-from crfqp.baselines import BRUTE_FORCE_LIMIT, _incoming_slots
+from crfqp.baselines import BRUTE_FORCE_LIMIT, _belief_sum
 from crfqp.solver import _potts_weights
 from helpers import (
     dense_lbp,
@@ -190,18 +192,46 @@ def test_lbp_matches_dense_reference_bitwise_on_general_blocks():
     _assert_same_run(graph, moved)
 
 
-def test_slot_sums_match_sequential_scatter():
+def test_belief_sums_match_sequential_scatter():
     rng = np.random.default_rng(89)
+    cases = []
     for _ in range(20):
-        n, k, d = int(rng.integers(1, 12)), int(rng.integers(2, 6)), int(rng.integers(1, 80))
-        tgt = rng.integers(0, n, size=d)
+        n, d = int(rng.integers(1, 12)), int(rng.integers(1, 80))
+        cases.append((n, rng.integers(0, n, size=d)))
+    for _ in range(5):
+        # wide enough for contiguous slots, with a hub that is not node 0
+        n = int(rng.integers(40, 120))
+        tgt = np.concatenate([rng.integers(0, n, size=6 * n), np.full(90, n // 2)])
+        cases.append((n, rng.permutation(tgt)))
+    for n, tgt in cases:
+        k, d = int(rng.integers(2, 6)), tgt.size
         # magnitudes spread wide, so summation order shows in the low bits
         messages = rng.normal(size=(k, d)) * 10.0 ** rng.integers(-8, 8, size=(k, d))
         base = rng.uniform(0.5, 1.0, size=(n, k))
         want = base.copy()
         np.add.at(want, tgt, messages.T)
-        padded = np.concatenate([messages, np.zeros((k, 1))], axis=1)
-        got = base.T.copy()
-        for slot in _incoming_slots(tgt, n, d):
-            got += padded[:, slot]
-        assert np.array_equal(got.T, want)
+        rank, add = _belief_sum(tgt, n)
+        got = np.empty((k, n))
+        got[:, rank] = base.T
+        add(got, messages)
+        assert np.array_equal(got[:, rank].T, want)
+
+
+def test_lbp_on_a_star_is_exact_and_linear_in_memory():
+    # one hub with 4,000 leaves: a per-node table padded to the largest
+    # in-degree would need 4,000 x 4,001 entries
+    leaves = 4000
+    rng = np.random.default_rng(97)
+    graph = CrfGraph(leaves + 1, 3, [(0, j) for j in range(1, leaves + 1)])
+    unary = rng.uniform(-1.0, 1.0, size=(leaves + 1, 3))
+    potts = Potentials(unary, np.broadcast_to(0.2 + 0.3 * np.eye(3), (leaves, 3, 3)))
+    dense = Potentials(unary, rng.uniform(-1.0, 1.0, size=(leaves, 3, 3)))
+    for pot in (potts, dense):
+        _assert_same_run(graph, pot, max_iters=5)
+        tracemalloc.start()
+        try:
+            lbp_map(graph, pot, max_iters=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
