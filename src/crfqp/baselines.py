@@ -113,7 +113,8 @@ def _belief_sum(tgt, num_nodes):
 
 def _potts_messages(same, differ):
     """Max-product update for Potts edges in O(K) per message:
-    new[q] = max(base[q] + same, max_{p != q} base[p] + differ).
+    new[q] = max(base[q] + same, max_{p != q} base[p] + differ),
+    written over `base`.
 
     Rounding is monotone, so max_p fl(base[p] + c) equals
     fl(max_p base[p] + c) exactly, and the result matches the dense
@@ -128,10 +129,11 @@ def _potts_messages(same, differ):
             np.minimum(top, row, out=low)
             np.maximum(second, low, out=second)
             np.maximum(top, row, out=top)
-        excluded = np.where(base == top, second, top)
-        excluded += differ
-        new = base + same
-        return np.maximum(new, excluded, out=new)
+        hit = base == top
+        second += differ
+        top += differ
+        base += same
+        return np.maximum(base, np.where(hit, second, top), out=base)
 
     return update
 
@@ -157,6 +159,12 @@ def lbp_map(graph, potentials, max_iters=200, damping=0.5):
     iteration counts are bitwise those of the dense update, which every
     other graph uses.
 
+    Each iteration gathers beliefs at the message sources once, takes
+    the reverse messages as the two swapped halves of the message array
+    and updates, damps and normalizes in that buffer.  A decoded
+    labeling equal to the previous one reuses its objective value, so
+    `objective_of_labeling` runs only when the labeling changes.
+
     Returns
     -------
     (labeling, report) : (ndarray, SolveReport)
@@ -178,10 +186,10 @@ def lbp_map(graph, potentials, max_iters=200, damping=0.5):
 
     ea = graph.edges
     # Directed edge d: source src[d] -> target tgt[d]; d and d+num_e are
-    # the two directions of stored edge d; rev[d] is the opposite one.
+    # the two directions of stored edge d, so swapping the two halves of
+    # the message array reverses every edge.
     src = np.concatenate([ea[:, 0], ea[:, 1]])
     tgt = np.concatenate([ea[:, 1], ea[:, 0]])
-    rev = np.concatenate([np.arange(num_e) + num_e, np.arange(num_e)])
     sym2 = shifted.pairwise + shifted.pairwise.transpose(0, 2, 1)
     potts = _potts_weights(sym2)
     if potts is not None:
@@ -207,9 +215,16 @@ def lbp_map(graph, potentials, max_iters=200, damping=0.5):
         add_messages(beliefs, messages)
         return beliefs
 
+    last = (None, None)
+
     def decode(beliefs):
+        # the objective depends on the labeling alone: score it only
+        # when the labeling changed since the previous decode
+        nonlocal last
         labeling = extract_labeling(beliefs.T)[rank]
-        return labeling, objective_of_labeling(graph, potentials, labeling)
+        if last[0] is None or not np.array_equal(labeling, last[0]):
+            last = labeling, objective_of_labeling(graph, potentials, labeling)
+        return last
 
     best_labeling = None
     best_value = -np.inf
@@ -218,10 +233,16 @@ def lbp_map(graph, potentials, max_iters=200, damping=0.5):
     iterations = 0
     for it in range(1, max_iters + 1):
         beliefs = beliefs_now()
-        new = message(np.take(beliefs, src_col, axis=1) - np.take(messages, rev, axis=1))
-        new = damping * messages + (1.0 - damping) * new
+        base = np.take(beliefs, src_col, axis=1)
+        base[:, :num_e] -= messages[:, num_e:]
+        base[:, num_e:] -= messages[:, :num_e]
+        new = message(base)
+        new *= 1.0 - damping
+        new += damping * messages
         new -= new.max(axis=0)
-        change = float(np.max(np.abs(new - messages)))
+        # the old messages are spent: their buffer takes the difference
+        messages -= new
+        change = float(max(messages.max(), -messages.min()))
         messages = new
         iterations = it
 

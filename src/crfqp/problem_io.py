@@ -170,6 +170,13 @@ def problem_from_dict(doc):
                 features.append(NodeFeatures(*arrays))
             except ValueError as exc:
                 _fail(where, str(exc))
+            # edge dissimilarities compare histograms bin by bin
+            bins, first = features[-1].color_histogram.size, features[0].color_histogram.size
+            if bins != first:
+                _fail(
+                    f"{where}.color_histogram",
+                    f"expected {first} bins like features[0], got {bins}",
+                )
         features = tuple(features)
 
     try:

@@ -125,20 +125,27 @@ def iterate(marginals, q):
     """One synchronous multiplicative step: reweight each row by its
     gradient entries, then renormalize.  Requires q >= 0 (negative
     entries signal a missing nonnegativity shift).  Rows whose
-    normalizer is zero are left unchanged."""
+    normalizer is zero are left unchanged.
+
+    Row normalizers come from one BLAS matrix-vector product with a
+    vector of ones, and the division runs in place; the masked handling
+    of zero rows runs only when some normalizer is not positive."""
     mu = np.asarray(marginals, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if q.shape != mu.shape:
         raise ValueError(f"gradient shape {q.shape} does not match {mu.shape}")
     if q.min(initial=0.0) < 0.0:
         raise ValueError("gradient has negative entries; shift potentials first")
-    weighted = mu * q
-    norms = weighted.sum(axis=1, keepdims=True)
-    degenerate = norms[:, 0] == 0.0
-    safe = np.where(norms == 0.0, 1.0, norms)
-    out = weighted / safe
-    if degenerate.any():
+    out = mu * q
+    norms = out @ np.ones(out.shape[1])
+    # A NaN or negative normalizer can hide a zero one from the minimum.
+    if not norms.min(initial=np.inf) > 0.0:
+        degenerate = norms == 0.0
+        norms[degenerate] = 1.0
+        out /= norms[:, None]
         out[degenerate] = mu[degenerate]
+    else:
+        out /= norms[:, None]
     return out
 
 
@@ -193,7 +200,14 @@ def _quadratic_operator(graph, pairwise):
 
         diag, off = potts
         w_delta, w_off = adjacency(diag - off), adjacency(off)
-        return lambda mu: w_delta @ mu + (w_off @ mu.sum(axis=1))[:, None]
+        ones = np.ones(k)
+
+        def potts_matvec(mu):
+            out = w_delta @ mu
+            out += (w_off @ (mu @ ones))[:, None]
+            return out
+
+        return potts_matvec
 
     dim = n * k
     p_idx, q_idx = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
@@ -204,6 +218,11 @@ def _quadratic_operator(graph, pairwise):
     data = np.concatenate([sym.ravel(), sym.ravel()])
     quad = sp.csr_matrix((data, (rows, cols)), shape=(dim, dim))
     return lambda mu: (quad @ mu.ravel()).reshape(n, k)
+
+
+def _finite(x):
+    # min and max propagate NaN, so two reductions replace an isfinite mask
+    return bool(np.isfinite(x.min()) and np.isfinite(x.max()))
 
 
 def solve(graph, potentials, config=None, callback=None):
@@ -225,6 +244,12 @@ def solve(graph, potentials, config=None, callback=None):
     non-zeros instead of a K x K block per edge; traces agree with the
     general operator to roundoff, as the sums run in another order.
     Any non-Potts edge sends the whole graph to the general operator.
+
+    One iteration is one operator application, one `iterate` step and
+    a handful of reductions: the gradient is formed in place in the
+    operator's output, finiteness and the max change come from min/max
+    reductions, and every iterate is a fresh array, so a callback may
+    keep the marginals it is handed.
 
     Returns
     -------
@@ -255,13 +280,16 @@ def solve(graph, potentials, config=None, callback=None):
     converged = False
     iterations = 0
     for it in range(1, config.max_iterations + 1):
-        grad = (b + 2.0 * qa).reshape(mu.shape)
-        if not np.all(np.isfinite(grad)):
+        # gradient b + 2 * qa, formed in the matvec's own buffer
+        qa *= 2.0
+        qa += b
+        if not _finite(qa):
             raise SolverFailure(f"non-finite gradient at iteration {it}")
-        new_mu = iterate(mu, grad)
-        if not np.all(np.isfinite(new_mu)):
+        new_mu = iterate(mu, qa.reshape(mu.shape))
+        if not _finite(new_mu):
             raise SolverFailure(f"non-finite marginals at iteration {it}")
-        delta = float(np.max(np.abs(new_mu - mu)))
+        d = new_mu - mu
+        delta = float(max(d.max(), -d.min()))
         mu = new_mu
         a = mu.ravel()
         qa = matvec(mu).ravel()

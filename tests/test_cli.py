@@ -195,12 +195,14 @@ def test_input_errors_exit_2(tmp_path, capsys):
             capsys.readouterr()
             assert cli.main(["solve", str(boolean)]) == 2
             assert f"expected numbers, got {kind}" in capsys.readouterr().err
-    for key, value, message in (
-        ("centroid", [True, False], "expected numbers, got a boolean"),
-        ("mean_color", [0.5], "mean_color must have shape (3,)"),
+    for node, key, value, message in (
+        (0, "centroid", [True, False], "expected numbers, got a boolean"),
+        (0, "mean_color", [0.5], "mean_color must have shape (3,)"),
+        # one bin where node 0 has several
+        (1, "color_histogram", [1.0], "'features[1].color_histogram': expected"),
     ):
         doc = json.loads(synth(tmp_path).read_text())
-        doc["features"][0][key] = value
+        doc["features"][node][key] = value
         boolean.write_text(json.dumps(doc))
         capsys.readouterr()
         assert cli.main(["solve", str(boolean)]) == 2

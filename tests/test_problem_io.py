@@ -175,6 +175,11 @@ def bad_cases():
             variant(lambda d: d["features"][0].update(mean_color=[0.5])),
             r"'features\[0\]': mean_color must have shape \(3,\)",
         ),
+        # histograms are compared bin by bin across edges
+        (
+            variant(lambda d: d["features"][1].update(color_histogram=[0.2, 0.3, 0.5])),
+            r"'features\[1\].color_histogram': expected 2 bins like features\[0\], got 3",
+        ),
     ]
 
 

@@ -106,17 +106,21 @@ def test_solve_steps_along_compute_gradient():
         k = int(rng.integers(2, 5))
         make = random_potts_instance if trial % 2 else random_instance
         graph, pot = make(rng, n, k, edge_prob=0.5)
-        first = []
+        steps = []
         solve(
             graph,
             pot,
-            SolverConfig(max_iterations=1),
-            callback=lambda _, mu: first.append(mu.copy()),
+            SolverConfig(max_iterations=5, tol=1e-300),
+            callback=lambda _, mu: steps.append(mu.copy()),
         )
+        assert len(steps) == 5
         shifted, _ = shift_to_floor(pot)
-        mu0 = _initial_marginals(graph, shifted, "uniform")
-        expected = iterate(mu0, compute_gradient(graph, shifted, mu0))
-        np.testing.assert_array_equal(first[0], expected)
+        prev = _initial_marginals(graph, shifted, "uniform")
+        # each step is bitwise the public update along the public gradient
+        for got in steps:
+            expected = iterate(prev, compute_gradient(graph, shifted, prev))
+            np.testing.assert_array_equal(got, expected)
+            prev = got
 
 
 def _operator_error(graph, pairwise, mu):
@@ -189,6 +193,13 @@ def test_iterate_fixed_points():
 def test_iterate_degenerate_and_invalid_input():
     mu = np.array([[0.4, 0.6]])
     np.testing.assert_array_equal(iterate(mu, [[0.0, 0.0]]), mu)
+    # zero-normalizer rows are kept, the other rows still update
+    rows = np.array([[0.4, 0.6], [0.5, 0.5], [1.0, 0.0], [0.25, 0.75]])
+    q = np.array([[0.0, 0.0], [2.0, 1.0], [0.0, 3.0], [1.0, 1.0]])
+    out = iterate(rows, q)
+    np.testing.assert_array_equal(out[[0, 2]], rows[[0, 2]])
+    np.testing.assert_array_equal(out[1], np.array([1.0, 0.5]) / 1.5)
+    np.testing.assert_array_equal(out[3], rows[3])
     with pytest.raises(ValueError, match="negative"):
         iterate(mu, [[-1.0, 1.0]])
     with pytest.raises(ValueError, match="shape"):
@@ -275,12 +286,15 @@ def test_poisoned_iterate_raises_solver_failure():
     graph = CrfGraph(2, 2, [(0, 1)])
     pot = Potentials([[1.0, 0.5], [0.5, 1.0]], [np.eye(2)])
 
-    def poison(iteration, mu):
-        # corrupt the running iterate to exercise the failure path
-        mu[:] = np.nan
+    for bad in (np.nan, np.inf, -np.inf):
 
-    with pytest.raises(SolverFailure, match="non-finite"):
-        solve(graph, pot, callback=poison)
+        def poison(iteration, mu):
+            # corrupt the running iterate to exercise the failure path
+            mu[:] = bad
+
+        # inf / inf rows warn on their way to NaN
+        with np.errstate(invalid="ignore"), pytest.raises(SolverFailure, match="non-finite"):
+            solve(graph, pot, callback=poison)
 
 
 def test_constrained_solve_with_no_sets_matches_unconstrained():
