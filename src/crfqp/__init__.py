@@ -17,7 +17,6 @@ from .bench import (
     benchmark_constraint_sets,
     constraint_prefix,
     grid_for_size,
-    parse_csv,
     rows_to_csv,
     run_benchmark,
     speedup_summary,
@@ -47,7 +46,6 @@ from .potentials import (
     PotentialParams,
     bhattacharyya_distance,
     build_edges,
-    dissimilarity,
     edge_dissimilarities,
     pairwise_potential,
 )
@@ -124,7 +122,6 @@ __all__ = [
     "compute_metrics",
     "confusion_matrix",
     "constraint_prefix",
-    "dissimilarity",
     "edge_dissimilarities",
     "euclidean_cluster",
     "evaluate_scene",
@@ -140,7 +137,6 @@ __all__ = [
     "objective_of_labeling",
     "one_hot",
     "pairwise_potential",
-    "parse_csv",
     "problem_from_dict",
     "problem_to_dict",
     "reduce_problem",

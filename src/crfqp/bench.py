@@ -20,7 +20,6 @@ __all__ = [
     "benchmark_constraint_sets",
     "run_benchmark",
     "rows_to_csv",
-    "parse_csv",
     "speedup_summary",
 ]
 
@@ -165,23 +164,6 @@ def rows_to_csv(rows):
     writer.writerow(CSV_COLUMNS)
     writer.writerows(astuple(row) for row in rows)
     return buffer.getvalue()
-
-
-def parse_csv(text):
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != CSV_COLUMNS:
-        raise ValueError(f"unexpected benchmark CSV header: {header}")
-    types = {f.name: f.type for f in fields(BenchmarkRow)}
-    rows = []
-    for record in reader:
-        if not record:
-            continue
-        kwargs = {
-            name: types[name](value) for name, value in zip(CSV_COLUMNS, record)
-        }
-        rows.append(BenchmarkRow(**kwargs))
-    return rows
 
 
 def speedup_summary(rows):

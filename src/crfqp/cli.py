@@ -193,7 +193,7 @@ def _cmd_synth(args):
         graph=scene.graph,
         potentials=scene.potentials,
         constraint_sets=constraint_sets,
-        features=tuple(scene.features),
+        features=scene.features,
     )
     truth_path = args.truth or f"{args.out}.truth.labels"
     save_problem(problem, args.out)

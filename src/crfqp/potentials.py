@@ -1,7 +1,8 @@
 """Edge construction and potential functions from node feature descriptors.
 
-Nodes carry an image-plane centroid, a mean color in [0, 1]^3, and a
-color histogram.  Edges connect nodes whose centroids are closer than a
+Node features form one table: an image-plane centroid, a mean color in
+[0, 1]^3 and a color histogram per node, held as three row-aligned
+arrays.  Edges connect nodes whose centroids are closer than a
 threshold; the pairwise potential of an edge is a Potts-style matrix
 derived from a three-term dissimilarity (histogram distance, mean-color
 distance, centroid distance), each term normalized into [0, 1].
@@ -17,7 +18,6 @@ __all__ = [
     "PotentialParams",
     "build_edges",
     "bhattacharyya_distance",
-    "dissimilarity",
     "pairwise_potential",
     "edge_dissimilarities",
 ]
@@ -25,28 +25,47 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NodeFeatures:
-    """Descriptor of one node: 2-D centroid, mean color in [0, 1]^3, and
-    a nonnegative, not-all-zero color histogram."""
+    """Per-node descriptors as one table of read-only float64 copies:
+    `centroids` (N, 2), `mean_colors` (N, 3) in [0, 1]^3 and
+    `histograms` (N, B), each row nonnegative and not all zero.  Row i
+    describes node i; N and B are at least 1."""
 
-    centroid: np.ndarray
-    mean_color: np.ndarray
-    color_histogram: np.ndarray
+    centroids: np.ndarray
+    mean_colors: np.ndarray
+    histograms: np.ndarray
 
-    def __init__(self, centroid, mean_color, color_histogram):
-        centroid = np.asarray(centroid, dtype=np.float64)
-        mean_color = np.asarray(mean_color, dtype=np.float64)
-        hist = np.asarray(color_histogram, dtype=np.float64)
-        if centroid.shape != (2,):
-            raise ValueError(f"centroid must have shape (2,), got {centroid.shape}")
-        if mean_color.shape != (3,):
-            raise ValueError(f"mean_color must have shape (3,), got {mean_color.shape}")
-        if hist.ndim != 1 or hist.size == 0:
-            raise ValueError("color_histogram must be a non-empty 1-D array")
-        if hist.min() < 0 or hist.sum() <= 0:
-            raise ValueError("color_histogram must be nonnegative and not all zero")
-        object.__setattr__(self, "centroid", centroid)
-        object.__setattr__(self, "mean_color", mean_color)
-        object.__setattr__(self, "color_histogram", hist)
+    def __init__(self, centroids, mean_colors, histograms):
+        centroids = np.array(centroids, dtype=np.float64)
+        mean_colors = np.array(mean_colors, dtype=np.float64)
+        histograms = np.array(histograms, dtype=np.float64)
+        if centroids.ndim != 2 or centroids.shape[1] != 2 or len(centroids) == 0:
+            raise ValueError(
+                f"centroids must have shape (N, 2) with N >= 1, got {centroids.shape}"
+            )
+        n = len(centroids)
+        if mean_colors.shape != (n, 3):
+            raise ValueError(
+                f"mean_colors must have shape ({n}, 3), got {mean_colors.shape}"
+            )
+        if histograms.shape[:1] != (n,):
+            raise ValueError(f"histograms must have {n} rows, got shape {histograms.shape}")
+        if histograms.ndim != 2 or histograms.size == 0:
+            # every row shares this shape, so node 0 is the first bad one
+            raise ValueError(
+                "features[0]: histogram must be a non-empty 1-D array, "
+                f"got shape {histograms.shape[1:]}"
+            )
+        negative = (histograms < 0).any(axis=1)
+        bad = np.flatnonzero(negative | (histograms.sum(axis=1) <= 0))
+        if bad.size:
+            raise ValueError(
+                f"features[{bad[0]}]: histogram must be nonnegative and not all zero"
+            )
+        for column in (centroids, mean_colors, histograms):
+            column.flags.writeable = False
+        object.__setattr__(self, "centroids", centroids)
+        object.__setattr__(self, "mean_colors", mean_colors)
+        object.__setattr__(self, "histograms", histograms)
 
 
 @dataclass(frozen=True)
@@ -63,13 +82,13 @@ class PotentialParams:
             raise ValueError("all potential parameters must be positive")
 
 
-def build_edges(features, theta):
-    """Connect every pair of nodes with centroid distance strictly below
-    `theta`.  Returns an int64 array of shape (E, 2) holding canonical
-    pairs i < j sorted by (i, j)."""
-    if len(features) < 1:
+def build_edges(centroids, theta):
+    """Connect every pair of nodes whose (N, 2) `centroids` lie strictly
+    closer than `theta`.  Returns an int64 array of shape (E, 2) holding
+    canonical pairs i < j sorted by (i, j)."""
+    centers = np.asarray(centroids, dtype=np.float64)
+    if len(centers) < 1:
         raise ValueError("need at least one node")
-    centers = np.stack([f.centroid for f in features])
     # The kd-tree compares squared distances; a slightly wider search
     # keeps every candidate, and the strict test below decides.
     pairs = cKDTree(centers).query_pairs(theta * (1 + 1e-9), output_type="ndarray")
@@ -100,19 +119,6 @@ def bhattacharyya_distance(a, b):
     return float(np.sqrt(np.clip(radicand, 0.0, 1.0)))
 
 
-def dissimilarity(i, j, params):
-    """Mean of the three normalized feature distances between two nodes.
-
-    The color term theta_c * ||mean_color_i - mean_color_j|| and the
-    location term theta_l * ||centroid_i - centroid_j|| are clamped at 1
-    so the result stays in [0, 1] for any inputs.
-    """
-    hist_term = bhattacharyya_distance(i.color_histogram, j.color_histogram)
-    color_term = min(1.0, params.theta_c * float(np.linalg.norm(i.mean_color - j.mean_color)))
-    loc_term = min(1.0, params.theta_l * float(np.linalg.norm(i.centroid - j.centroid)))
-    return (hist_term + color_term + loc_term) / 3.0
-
-
 def pairwise_potential(dis, num_labels):
     """Potts-style pairwise matrices: 1 - dis^2 on the diagonal, dis^2
     off it.  `dis` is a scalar or an array of values in [0, 1]; the
@@ -131,23 +137,24 @@ def pairwise_potential(dis, num_labels):
 
 
 def edge_dissimilarities(features, edges, params):
-    """Vectorized `dissimilarity` over an edge list.
+    """Mean of the three normalized feature distances across each edge.
 
-    Equivalent to calling the scalar function per edge; batched over
-    stacked feature arrays for speed on large graphs.
+    The histogram term is `bhattacharyya_distance`; the color term
+    theta_c * ||mean_color_i - mean_color_j|| and the location term
+    theta_l * ||centroid_i - centroid_j|| are clamped at 1, so every
+    value lies in [0, 1] for any `NodeFeatures` table.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    hists = np.stack([f.color_histogram for f in features])
-    colors = np.stack([f.mean_color for f in features])
-    centers = np.stack([f.centroid for f in features])
     ii, jj = edges[:, 0], edges[:, 1]
 
+    hists = features.histograms
     ha, hb = hists[ii], hists[jj]
     n = hists.shape[1]
     radicand = 1.0 - np.sqrt(ha * hb).sum(axis=1) / np.sqrt(
         ha.sum(axis=1) * hb.sum(axis=1) * n * n
     )
     hist_term = np.sqrt(np.clip(radicand, 0.0, 1.0))
+    colors, centers = features.mean_colors, features.centroids
     color_term = np.minimum(
         1.0, params.theta_c * np.linalg.norm(colors[ii] - colors[jj], axis=1)
     )

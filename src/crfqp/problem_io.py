@@ -9,7 +9,7 @@ matrices, so parse -> serialize -> parse is the identity on structures.
 
 import json
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+# per-node feature fields, in the column order of `NodeFeatures`
+_FEATURE_KEYS = ("centroid", "mean_color", "color_histogram")
 
 
 @dataclass(frozen=True)
@@ -34,16 +36,16 @@ class ProblemFile:
     graph: CrfGraph
     potentials: Potentials
     constraint_sets: ConstraintSets
-    features: tuple
+    features: NodeFeatures  # or None
 
     def equivalent(self, other):
         """Structural equality, used by round-trip checks."""
 
         def arrays(problem):
-            out = [problem.graph.edges, problem.potentials.unary]
-            out += [problem.potentials.pairwise, problem.features is None]
-            for f in problem.features or ():
-                out += [f.centroid, f.mean_color, f.color_histogram]
+            p, f = problem.potentials, problem.features
+            out = [problem.graph.edges, p.unary, p.pairwise]
+            if f is not None:
+                out += [f.centroids, f.mean_colors, f.histograms]
             return out
 
         # unary's shape carries the node and label counts
@@ -92,6 +94,13 @@ def _as_float_array(value, field, shape=None):
             bad = next(type(v) for v in scalars if type(v) not in _NUMBER_TYPES)
             _fail(field, f"expected numbers, got {_JSON_NAMES.get(bad, bad.__name__)}")
     return arr
+
+
+def _feature_table(columns):
+    try:
+        return NodeFeatures(*columns)
+    except ValueError as exc:
+        _fail("features", str(exc))
 
 
 def problem_from_dict(doc):
@@ -156,28 +165,20 @@ def problem_from_dict(doc):
         feature_docs = _require(doc, "features", list)
         if len(feature_docs) != num_nodes:
             _fail("features", f"expected {num_nodes} entries, got {len(feature_docs)}")
-        features = []
+        columns = ([], [], [])
         for idx, entry in enumerate(feature_docs):
             where = f"features[{idx}]"
             if not isinstance(entry, dict):
                 _fail(where, "must be an object")
-            arrays = []
-            for key in ("centroid", "mean_color", "color_histogram"):
+            shapes = ((2,), (3,), columns[2][0].shape if idx else None)
+            for key, shape, column in zip(_FEATURE_KEYS, shapes, columns):
                 if key not in entry:
                     _fail(where, f"missing {key}")
-                arrays.append(_as_float_array(entry[key], f"{where}.{key}"))
-            try:
-                features.append(NodeFeatures(*arrays))
-            except ValueError as exc:
-                _fail(where, str(exc))
-            # edge dissimilarities compare histograms bin by bin
-            bins, first = features[-1].color_histogram.size, features[0].color_histogram.size
-            if bins != first:
-                _fail(
-                    f"{where}.color_histogram",
-                    f"expected {first} bins like features[0], got {bins}",
-                )
-        features = tuple(features)
+                column.append(_as_float_array(entry[key], f"{where}.{key}", shape))
+            if idx == 0:
+                # node 0's histogram sets the shape every row must share
+                _feature_table(columns)
+        features = _feature_table(columns)
 
     try:
         graph = CrfGraph(num_nodes=num_nodes, num_labels=num_labels, edges=edges)
@@ -200,14 +201,9 @@ def problem_to_dict(problem):
         "constraints": [list(group) for group in problem.constraint_sets.sets],
     }
     if problem.features is not None:
-        doc["features"] = [
-            {
-                "centroid": f.centroid.tolist(),
-                "mean_color": f.mean_color.tolist(),
-                "color_histogram": f.color_histogram.tolist(),
-            }
-            for f in problem.features
-        ]
+        f = problem.features
+        rows = zip(f.centroids.tolist(), f.mean_colors.tolist(), f.histograms.tolist())
+        doc["features"] = [dict(zip(_FEATURE_KEYS, row)) for row in rows]
     return doc
 
 
@@ -223,6 +219,11 @@ def load_problem(path):
 
 
 def save_problem(problem, path):
+    # The bytes of json.dump, written in batches of encoder chunks: one
+    # write per chunk is slow, and one join of them all holds every chunk
+    # in memory at once.
+    chunks = json.JSONEncoder(indent=1).iterencode(problem_to_dict(problem))
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(problem_to_dict(problem), handle, indent=1)
+        while batch := "".join(islice(chunks, 8192)):
+            handle.write(batch)
         handle.write("\n")

@@ -2,10 +2,10 @@
 
 Produces grid-structured labeling problems with known ground truth:
 a W x H field of nodes (one per unit cell), rectangular objects planted
-on a background, per-node appearance features derived from the true
-label, noisy unary scores, and a matching synthetic 3D point cloud
-(dense ground plane plus one elevated blob per object) from which
-constraint sets can be recovered.
+on a background, a `NodeFeatures` table of appearance features derived
+from the true labels, noisy unary scores, and a matching synthetic 3D
+point cloud (dense ground plane plus one elevated blob per object) from
+which constraint sets can be recovered.
 """
 
 import colorsys
@@ -70,7 +70,7 @@ class PlantedScene:
     seed: int
     graph: CrfGraph
     potentials: Potentials
-    features: list = field(repr=False)
+    features: NodeFeatures = field(repr=False)
     params: PotentialParams = field(repr=False)
     true_labels: np.ndarray = field(repr=False)
     boxes: tuple = ()
@@ -226,16 +226,17 @@ def generate_scene(
     rows_idx = np.arange(n) // width
     centroids = np.column_stack([cols + 0.5, rows_idx + 0.5]).astype(np.float64)
 
-    features = [
-        NodeFeatures(centroids[i], colors[i], hists[i]) for i in range(n)
-    ]
+    features = NodeFeatures(centroids, colors, hists)
+    # the table holds copies; freeing the originals now lets the arrays
+    # built below reuse their memory (peak RSS stays flat over many scenes)
+    del centroids, colors, hists
     params = PotentialParams(
         theta=1.1,
         theta_c=2.0,
         theta_l=1.0 / np.hypot(width, height),
     )
 
-    edges = build_edges(features, params.theta)
+    edges = build_edges(features.centroids, params.theta)
     dis = edge_dissimilarities(features, edges, params)
     psi = pairwise_weight * pairwise_potential(dis, num_labels)
 

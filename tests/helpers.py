@@ -15,6 +15,7 @@ from crfqp import (
     CrfGraph,
     Potentials,
     SolveReport,
+    bhattacharyya_distance,
     extract_labeling,
     objective_of_labeling,
     shift_to_floor,
@@ -190,6 +191,18 @@ def brute_force_edges(points, theta):
     return [
         (int(i), int(j)) for i, j in zip(*np.nonzero(dist < theta)) if i < j
     ]
+
+
+def dissimilarity(features, i, j, params):
+    """One node pair's feature dissimilarity, term by term on scalars:
+    the histogram distance plus the color and location distances, each
+    clamped at 1, averaged."""
+    hist_term = bhattacharyya_distance(features.histograms[i], features.histograms[j])
+    color = float(np.linalg.norm(features.mean_colors[i] - features.mean_colors[j]))
+    loc = float(np.linalg.norm(features.centroids[i] - features.centroids[j]))
+    color_term = min(1.0, params.theta_c * color)
+    loc_term = min(1.0, params.theta_l * loc)
+    return (hist_term + color_term + loc_term) / 3.0
 
 
 def loop_reduction(graph, potentials, node_to_super):

@@ -1,5 +1,6 @@
 """Command-line entry points, run in process through main()."""
 
+import csv
 import json
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 
 import crfqp.cli as cli
 from crfqp import SolverFailure, load_problem, objective_of_labeling
-from crfqp.bench import parse_csv
 from helpers import enumerate_map
 
 
@@ -197,9 +197,11 @@ def test_input_errors_exit_2(tmp_path, capsys):
             assert f"expected numbers, got {kind}" in capsys.readouterr().err
     for node, key, value, message in (
         (0, "centroid", [True, False], "expected numbers, got a boolean"),
-        (0, "mean_color", [0.5], "mean_color must have shape (3,)"),
+        (0, "mean_color", [0.5], "'features[0].mean_color': expected shape (3,)"),
         # one bin where node 0 has several
         (1, "color_histogram", [1.0], "'features[1].color_histogram': expected"),
+        (2, "color_histogram", [-1.0] + [0.5] * 7, "features[2]: histogram must be"),
+        (2, "color_histogram", [0.0] * 8, "features[2]: histogram must be"),
     ):
         doc = json.loads(synth(tmp_path).read_text())
         doc["features"][node][key] = value
@@ -228,9 +230,10 @@ def test_bench_writes_csv_and_prints_speedups(tmp_path, capsys):
         ["bench", "--sizes", "100", "--fractions", "0.5", "--out", str(out)]
     )
     assert rc == 0
-    rows = parse_csv(out.read_text())
-    assert [r.solver for r in rows] == ["qp", "cqp"]
-    assert rows[0].nodes == rows[1].nodes == 100
+    with out.open(newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [r["solver"] for r in rows] == ["qp", "cqp"]
+    assert rows[0]["nodes"] == rows[1]["nodes"] == "100"
     printed = capsys.readouterr().out
     assert f"wrote {out} (2 rows)" in printed
     assert "= " in printed and printed.rstrip().endswith("x")

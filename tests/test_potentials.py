@@ -12,15 +12,15 @@ from crfqp import (
     PotentialParams,
     bhattacharyya_distance,
     build_edges,
-    dissimilarity,
     edge_dissimilarities,
     pairwise_potential,
 )
-from helpers import brute_force_edges
+from helpers import brute_force_edges, dissimilarity
 
 
-def _feat(x, y, color=(0.5, 0.5, 0.5), hist=(1.0, 1.0)):
-    return NodeFeatures((x, y), color, hist)
+def _table(rows):
+    """NodeFeatures from (centroid, mean_color, histogram) rows."""
+    return NodeFeatures(*zip(*rows))
 
 
 def _params(theta=1.1, theta_c=1.0, theta_l=0.1):
@@ -78,9 +78,9 @@ def test_histogram_distance_validation():
 
 
 def test_edges_require_strictly_closer_than_threshold():
-    feats = [_feat(0.0, 0.0), _feat(1.0, 0.0)]
-    assert build_edges(feats, 1.0).tolist() == []
-    assert build_edges(feats, 1.0 + 1e-9).tolist() == [[0, 1]]
+    pair = [(0.0, 0.0), (1.0, 0.0)]
+    assert build_edges(pair, 1.0).tolist() == []
+    assert build_edges(pair, 1.0 + 1e-9).tolist() == [[0, 1]]
     # lattices spaced exactly at theta, the next float above it, and the
     # diagonal; with exactly representable spacings the axis neighbors
     # drop out at theta and all 49 come back just above it
@@ -88,43 +88,41 @@ def test_edges_require_strictly_closer_than_threshold():
     for spacing in (1.0, 0.1, 0.3, 1.1, 2.5, 7.0 / 3.0):
         cols, rows = np.meshgrid(np.arange(6), np.arange(5))
         points = spacing * np.column_stack([cols.ravel(), rows.ravel()]) + 0.5
-        feats = [_feat(x, y) for x, y in points]
         for theta in (spacing, np.nextafter(spacing, np.inf), spacing * np.sqrt(2)):
-            edges = build_edges(feats, theta)
+            edges = build_edges(points, theta)
             assert edges.tolist() == [
                 list(pair) for pair in brute_force_edges(points, theta)
             ]
         if spacing in (1.0, 2.5):
-            assert len(build_edges(feats, spacing)) == 0
-            assert len(build_edges(feats, np.nextafter(spacing, np.inf))) == 49
+            assert len(build_edges(points, spacing)) == 0
+            assert len(build_edges(points, np.nextafter(spacing, np.inf))) == 49
     for _ in range(100):
         n = int(rng.integers(1, 40))
         points = rng.uniform(0.0, 5.0, size=(n, 2))
         if rng.uniform() < 0.3:
             points = np.round(points * 2.0) / 2.0  # ties and repeated points
         theta = float(rng.uniform(0.1, 3.0))
-        edges = build_edges([_feat(x, y) for x, y in points], theta)
+        edges = build_edges(points, theta)
         assert edges.tolist() == [list(pair) for pair in brute_force_edges(points, theta)]
 
 
 def test_grid_edge_counts():
-    feats = [_feat(c, r) for r in range(3) for c in range(3)]
+    grid = [(c, r) for r in range(3) for c in range(3)]
     # 4-neighborhood at threshold 1.1: diagonal pairs sit at sqrt(2)
-    assert len(build_edges(feats, 1.1)) == 12
-    assert len(build_edges(feats, 10.0)) == 36
-    assert build_edges(feats, 1.0).tolist() == []
+    assert len(build_edges(grid, 1.1)) == 12
+    assert len(build_edges(grid, 10.0)) == 36
+    assert build_edges(grid, 1.0).tolist() == []
 
 
 def test_edges_are_canonical_pairs():
-    feats = [_feat(0.0, 0.0), _feat(0.5, 0.0), _feat(1.0, 0.0)]
-    edges = build_edges(feats, 0.6)
+    edges = build_edges([(0.0, 0.0), (0.5, 0.0), (1.0, 0.0)], 0.6)
     assert edges.tolist() == [[0, 1], [1, 2]]
     assert edges.dtype == np.int64 and edges.shape == (2, 2)
     rng = np.random.default_rng(12)
     for _ in range(100):
         n = int(rng.integers(2, 60))
         points = rng.normal(size=(n, 2))
-        edges = build_edges([_feat(x, y) for x, y in points], 1.0)
+        edges = build_edges(points, 1.0)
         assert edges.shape == (len(edges), 2)
         assert np.all(edges[:, 0] < edges[:, 1])
         keys = edges[:, 0] * n + edges[:, 1]
@@ -134,12 +132,10 @@ def test_edges_are_canonical_pairs():
 def test_edges_on_large_lattice_use_linear_memory():
     side = 160
     cols, rows = np.meshgrid(np.arange(side), np.arange(side))
-    feats = [
-        _feat(c + 0.5, r + 0.5) for c, r in zip(cols.ravel(), rows.ravel())
-    ]
+    centroids = np.column_stack([cols.ravel(), rows.ravel()]) + 0.5
     tracemalloc.start()
     try:
-        edges = build_edges(feats, 1.1)
+        edges = build_edges(centroids, 1.1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -181,68 +177,98 @@ def test_pairwise_matrix_rejects_out_of_range():
 
 
 def test_dissimilarity_of_identical_features():
-    f = _feat(2.0, 3.0, hist=(0.2, 0.8))
-    expected = bhattacharyya_distance(f.color_histogram, f.color_histogram) / 3.0
-    assert dissimilarity(f, f, _params()) == pytest.approx(expected, abs=1e-15)
+    row = ((2.0, 3.0), (0.5, 0.5, 0.5), (0.2, 0.8))
+    expected = bhattacharyya_distance(row[2], row[2]) / 3.0
+    dis = edge_dissimilarities(_table([row, row]), [(0, 1)], _params())
+    assert dis[0] == pytest.approx(expected, abs=1e-15)
 
 
 def test_dissimilarity_clamps_each_term():
-    a = _feat(0.0, 0.0, color=(0.0, 0.0, 0.0), hist=(1.0, 0.0))
-    b = _feat(100.0, 0.0, color=(1.0, 1.0, 1.0), hist=(0.0, 1.0))
+    a = ((0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0))
+    b = ((100.0, 0.0), (1.0, 1.0, 1.0), (0.0, 1.0))
     # all three terms saturate at 1
-    assert dissimilarity(a, b, _params(theta_c=5.0, theta_l=1.0)) == pytest.approx(
-        1.0, abs=1e-15
-    )
+    params = _params(theta_c=5.0, theta_l=1.0)
+    dis = edge_dissimilarities(_table([a, b]), [(0, 1)], params)
+    assert dis[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_dissimilarity_stays_in_unit_interval():
     rng = np.random.default_rng(23)
     params = _params(theta_c=2.0, theta_l=0.05)
-    for _ in range(1000):
-        a = NodeFeatures(
+    rows = [
+        (
             rng.uniform(-50, 50, size=2),
             rng.uniform(0, 1, size=3),
             rng.uniform(0, 1, size=8) + 1e-6,
         )
-        b = NodeFeatures(
-            rng.uniform(-50, 50, size=2),
-            rng.uniform(0, 1, size=3),
-            rng.uniform(0, 1, size=8) + 1e-6,
-        )
-        d = dissimilarity(a, b, params)
-        assert 0.0 <= d <= 1.0
+        for _ in range(2000)
+    ]
+    pairs = np.arange(2000).reshape(1000, 2)  # nodes 2k and 2k + 1
+    dis = edge_dissimilarities(_table(rows), pairs, params)
+    assert dis.shape == (1000,)
+    assert np.all((dis >= 0.0) & (dis <= 1.0))
 
 
 def test_vectorized_dissimilarities_match_scalar():
     rng = np.random.default_rng(31)
-    feats = [
-        NodeFeatures(
-            rng.uniform(0, 10, size=2),
-            rng.uniform(0, 1, size=3),
-            rng.uniform(0.01, 1, size=6),
-        )
-        for _ in range(12)
-    ]
+    feats = _table(
+        [
+            (
+                rng.uniform(0, 10, size=2),
+                rng.uniform(0, 1, size=3),
+                rng.uniform(0.01, 1, size=6),
+            )
+            for _ in range(12)
+        ]
+    )
     params = _params(theta_c=1.5, theta_l=0.2)
     edges = [(i, j) for i in range(12) for j in range(i + 1, 12)][::3]
     batch = edge_dissimilarities(feats, edges, params)
     for value, (i, j) in zip(batch, edges):
-        assert value == pytest.approx(dissimilarity(feats[i], feats[j], params), abs=1e-15)
+        assert value == pytest.approx(dissimilarity(feats, i, j, params), abs=1e-15)
     assert edge_dissimilarities(feats, [], params).shape == (0,)
 
 
 def test_feature_validation():
-    with pytest.raises(ValueError, match="centroid"):
-        NodeFeatures((1.0, 2.0, 3.0), (0, 0, 0), (1.0,))
-    for color in ((0.5,), (0.1, 0.2, 0.3, 0.4), ((0.1, 0.2, 0.3),)):
-        with pytest.raises(ValueError, match=r"mean_color must have shape \(3,\)"):
-            NodeFeatures((0.0, 0.0), color, (1.0,))
-    with pytest.raises(ValueError, match="histogram"):
-        NodeFeatures((0.0, 0.0), (0, 0, 0), ())
-    with pytest.raises(ValueError, match="nonnegative"):
-        NodeFeatures((0.0, 0.0), (0, 0, 0), (-1.0, 2.0))
-    with pytest.raises(ValueError, match="not all zero"):
-        NodeFeatures((0.0, 0.0), (0, 0, 0), (0.0, 0.0))
+    centroids = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
+    colors = [(0.1, 0.2, 0.3)] * 3
+    hists = [(0.5, 0.5)] * 3
+    for bad in ([(1.0, 2.0, 3.0)] * 3, (1.0, 2.0), np.zeros((0, 2))):
+        with pytest.raises(ValueError, match=r"^centroids must have shape \(N, 2\)"):
+            NodeFeatures(bad, colors, hists)
+    for bad in ((0.5,), [(0.1, 0.2, 0.3, 0.4)] * 3, colors[:2]):
+        with pytest.raises(ValueError, match=r"^mean_colors must have shape \(3, 3\)"):
+            NodeFeatures(centroids, bad, hists)
+    for bad in (hists[:2], hists + hists[:1], 0.5):
+        with pytest.raises(ValueError, match=r"^histograms must have 3 rows, got"):
+            NodeFeatures(centroids, colors, bad)
+    # B = 0, or rows that are not 1-D, fail at node 0 like every row
+    for bad in (np.ones((3, 0)), np.ones((3, 1, 2)), (0.5, 0.5, 0.5)):
+        with pytest.raises(
+            ValueError, match=r"^features\[0\]: histogram must be a non-empty 1-D"
+        ):
+            NodeFeatures(centroids, colors, bad)
+    # the first bad row is named, past a good node 0 and before later bad rows
+    for bad, node in (
+        ([(0.5, 0.5), (0.5, 0.5), (-1.0, 2.0)], 2),
+        ([(0.5, 0.5), (0.0, 0.0), (-1.0, 1.0)], 1),
+    ):
+        message = rf"^features\[{node}\]: histogram must be nonnegative and not all zero$"
+        with pytest.raises(ValueError, match=message):
+            NodeFeatures(centroids, colors, bad)
+
+    # the table holds read-only float64 copies of its inputs
+    given = [np.array(centroids), np.array(colors), np.array(hists)]
+    feats = NodeFeatures(*given)
+    held = [feats.centroids, feats.mean_colors, feats.histograms]
+    for source, column in zip(given, held):
+        assert column.dtype == np.float64 and not column.flags.writeable
+        assert not np.shares_memory(source, column)
+        before = column.copy()
+        source += 1.0
+        assert np.array_equal(column, before)
+        with pytest.raises(ValueError, match="read-only"):
+            column[0, 0] = 7.0
 
 
 def test_params_must_be_positive():

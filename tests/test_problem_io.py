@@ -47,8 +47,9 @@ def test_parse_builds_expected_structures():
     assert np.array_equal(problem.potentials.pairwise[1], want)
     assert np.array_equal(want, [[0.75, 0.25], [0.25, 0.75]])
     assert problem.constraint_sets.sets == ((0, 2),)
-    assert len(problem.features) == 3
-    assert problem.features[1].centroid.tolist() == [1.0, 0.0]
+    assert problem.features.centroids.tolist() == [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]
+    assert problem.features.mean_colors.shape == (3, 3)
+    assert problem.features.histograms.tolist() == [[0.5, 0.5]] * 3
 
 
 def test_serialization_round_trip_is_identity():
@@ -173,12 +174,24 @@ def bad_cases():
         ),
         (
             variant(lambda d: d["features"][0].update(mean_color=[0.5])),
-            r"'features\[0\]': mean_color must have shape \(3,\)",
+            r"'features\[0\].mean_color': expected shape \(3,\), got \(1,\)",
         ),
         # histograms are compared bin by bin across edges
         (
             variant(lambda d: d["features"][1].update(color_histogram=[0.2, 0.3, 0.5])),
-            r"'features\[1\].color_histogram': expected 2 bins like features\[0\], got 3",
+            r"'features\[1\].color_histogram': expected shape \(2,\), got \(3,\)",
+        ),
+        (
+            variant(lambda d: d["features"][2].update(color_histogram=[0.5, -0.1])),
+            r"features\[2\]: histogram must be nonnegative and not all zero",
+        ),
+        (
+            variant(lambda d: d["features"][2].update(color_histogram=[0.0, 0.0])),
+            r"features\[2\]: histogram must be nonnegative and not all zero",
+        ),
+        (
+            variant(lambda d: d["features"][0].update(color_histogram=[])),
+            r"features\[0\]: histogram must be a non-empty 1-D array, got shape \(0,\)",
         ),
     ]
 
