@@ -13,7 +13,14 @@ import time
 import numpy as np
 
 from .core import _check_dims, extract_labeling, objective_of_labeling
-from .solver import SolveReport, _potts_weights, shift_to_floor
+from .solver import (
+    SolveReport,
+    SolverFailure,
+    _decoder_terms,
+    # unused here, but the benchmark's span tracing (perfbench/spans.py)
+    # patches this module attribute by name
+    shift_to_floor,  # noqa: F401
+)
 
 __all__ = ["brute_force_map", "lbp_map"]
 
@@ -118,30 +125,50 @@ def _potts_messages(same, differ):
 
     Rounding is monotone, so max_p fl(base[p] + c) equals
     fl(max_p base[p] + c) exactly, and the result matches the dense
-    K x K maximisation bit for bit."""
+    K x K maximisation bit for bit.  The exclusion of p = q matters only
+    on a row holding the column maximum `top`, where the exact term is
+    fl(second + differ) with `second` the runner-up (with multiplicity).
+    On a column with same >= differ that term never wins there:
+    fl(top + same) >= fl(top + differ) >= fl(second + differ), so
+    new = max(base + same, top + differ) exactly.  Only columns with
+    same < differ (repulsive edges) keep the running top two."""
+    repulsive = np.flatnonzero(same < differ)
+    same_r, differ_r = same[repulsive], differ[repulsive]
+    top = np.empty_like(same)
+
+    def exact(base):
+        # running top two of each column, with multiplicity
+        first = base[0].copy()
+        second = np.full_like(first, -np.inf)
+        low = np.empty_like(first)
+        for row in base[1:]:
+            np.minimum(first, row, out=low)
+            np.maximum(second, low, out=second)
+            np.maximum(first, row, out=first)
+        hit = base == first
+        second += differ_r
+        first += differ_r
+        base += same_r
+        return np.maximum(base, np.where(hit, second, first), out=base)
 
     def update(base):
-        # running top two of each column, with multiplicity
-        top = base[0].copy()
-        second = np.full_like(top, -np.inf)
-        low = np.empty_like(top)
-        for row in base[1:]:
-            np.minimum(top, row, out=low)
-            np.maximum(second, low, out=second)
-            np.maximum(top, row, out=top)
-        hit = base == top
-        second += differ
-        top += differ
+        if repulsive.size:
+            kept = exact(np.take(base, repulsive, axis=1))
+        np.add(np.max(base, axis=0, out=top), differ, out=top)
         base += same
-        return np.maximum(base, np.where(hit, second, top), out=base)
+        np.maximum(base, top, out=base)
+        if repulsive.size:
+            base[:, repulsive] = kept
+        return base
 
     return update
 
 
 def _dense_messages(psi_dir):
     """Max-product update for general edges: new[q] = max_p base[p] +
-    psi_dir[p, q], with psi_dir (K, K, 2E) indexed (x_src, x_tgt, d)."""
-    return lambda base: (base[:, None, :] + psi_dir).max(axis=0)
+    psi_dir[p, q], with psi_dir (K, K, 2E) indexed (x_src, x_tgt, d),
+    written over `base`."""
+    return lambda base: np.max(base[:, None, :] + psi_dir, axis=0, out=base)
 
 
 def lbp_map(graph, potentials, max_iters=200, damping=0.5):
@@ -157,29 +184,39 @@ def lbp_map(graph, potentials, max_iters=200, damping=0.5):
     bitwise equal, all off-diagonal entries bitwise equal, edge by
     edge), messages cost O(K) instead of O(K^2); labelings, traces and
     iteration counts are bitwise those of the dense update, which every
-    other graph uses.
+    other graph uses.  Potts is decided from the raw blocks as in
+    `solve`, and the floor shift and psi + psi^T act on the per-edge
+    (diagonal, off-diagonal) weights, so no K x K block is copied.
 
     Each iteration gathers beliefs at the message sources once, takes
     the reverse messages as the two swapped halves of the message array
-    and updates, damps and normalizes in that buffer.  A decoded
-    labeling equal to the previous one reuses its objective value, so
-    `objective_of_labeling` runs only when the labeling changes.
+    and updates, damps and normalizes in that buffer; the message,
+    update, damping and belief buffers are allocated once per call and
+    swapped between iterations.  A decoded labeling equal to the
+    previous one reuses its objective value, so `objective_of_labeling`
+    runs only when the labeling changes.
 
     Returns
     -------
     (labeling, report) : (ndarray, SolveReport)
         Report objectives are in original potential units.
+
+    Raises
+    ------
+    SolverFailure
+        If the messages turn non-finite, as they do when the pairwise
+        sums overflow.
     """
     _check_dims(graph, potentials)
     if not 0.0 <= damping < 1.0:
         raise ValueError(f"damping must lie in [0, 1), got {damping}")
     t0 = time.perf_counter()
     n, k = graph.num_nodes, graph.num_labels
-    shifted, _ = shift_to_floor(potentials)
+    terms = _decoder_terms(potentials)
 
     num_e = graph.num_edges
     if num_e == 0:
-        labeling = extract_labeling(shifted.unary)
+        labeling = extract_labeling(terms.unary)
         value = objective_of_labeling(graph, potentials, labeling)
         report = SolveReport(0, value, [value], True, time.perf_counter() - t0)
         return labeling, report
@@ -190,28 +227,33 @@ def lbp_map(graph, potentials, max_iters=200, damping=0.5):
     # the message array reverses every edge.
     src = np.concatenate([ea[:, 0], ea[:, 1]])
     tgt = np.concatenate([ea[:, 1], ea[:, 0]])
-    sym2 = shifted.pairwise + shifted.pairwise.transpose(0, 2, 1)
-    potts = _potts_weights(sym2)
-    if potts is not None:
-        same, differ = (np.concatenate([w, w]) for w in potts)
+    if terms.potts is not None:
+        same, differ = np.tile(terms.potts.T, 2)
         message = _potts_messages(same, differ)
     else:
+        sym2 = terms.sums
         psi_dir = np.concatenate([sym2, sym2.transpose(0, 2, 1)])
         message = _dense_messages(np.ascontiguousarray(psi_dir.transpose(1, 2, 0)))
 
     # Label-major storage: messages (K, 2E) and beliefs (K, N), so every
     # reduction over labels runs along the leading axis.  Gathers use
     # np.take, which keeps that layout (fancy indexing on axis 1 returns
-    # a Fortran-ordered array).  Belief columns are in in-degree rank
-    # order (see _belief_sum); labelings are mapped back on decoding.
+    # a Fortran-ordered array); mode "clip" lets it write straight into
+    # its output, which mode "raise" would buffer.  Belief columns are
+    # in in-degree rank order (see _belief_sum); labelings are mapped
+    # back on decoding.
     rank, add_messages = _belief_sum(tgt, n)
     src_col = rank[src]
     unary = np.empty((k, n))
-    unary[:, rank] = shifted.unary.T
+    unary[:, rank] = terms.unary.T
     messages = np.zeros((k, 2 * num_e))
+    base = np.empty_like(messages)
+    spare = np.empty_like(messages)
+    col_max = np.empty(2 * num_e)
+    beliefs = np.empty((k, n))
 
     def beliefs_now():
-        beliefs = unary.copy()
+        np.copyto(beliefs, unary)
         add_messages(beliefs, messages)
         return beliefs
 
@@ -232,18 +274,21 @@ def lbp_map(graph, potentials, max_iters=200, damping=0.5):
     converged = False
     iterations = 0
     for it in range(1, max_iters + 1):
-        beliefs = beliefs_now()
-        base = np.take(beliefs, src_col, axis=1)
+        np.take(beliefs_now(), src_col, axis=1, out=base, mode="clip")
         base[:, :num_e] -= messages[:, num_e:]
         base[:, num_e:] -= messages[:, :num_e]
         new = message(base)
         new *= 1.0 - damping
-        new += damping * messages
-        new -= new.max(axis=0)
+        new += np.multiply(messages, damping, out=spare)
+        new -= np.max(new, axis=0, out=col_max)
         # the old messages are spent: their buffer takes the difference
         messages -= new
         change = float(max(messages.max(), -messages.min()))
-        messages = new
+        # max and min propagate NaN, and a finite old message minus a
+        # non-finite new one is never finite
+        if not np.isfinite(change):
+            raise SolverFailure(f"non-finite messages at iteration {it}")
+        messages, base = new, messages
         iterations = it
 
         labeling, value = decode(beliefs)

@@ -17,6 +17,7 @@ iterate.
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,6 +42,11 @@ __all__ = [
     "solve",
     "solve_constrained",
 ]
+
+
+# Blocks whose bits one pass of the Potts check compares: bounds its
+# temporary to _CHECK_BLOCKS * K^2 bytes.
+_CHECK_BLOCKS = 4096
 
 
 class SolverFailure(RuntimeError):
@@ -88,6 +94,14 @@ class ShiftOffsets:
         return self.unary * graph.num_nodes + self.pairwise * 2 * graph.num_edges
 
 
+def _floor_offsets(unary, pairwise, epsilon):
+    """Offsets that move the minimum unary and pairwise entries onto
+    `epsilon`; `pairwise` may be any array holding every pairwise value."""
+    u_off = epsilon - unary.min()
+    p_off = epsilon - pairwise.min() if pairwise.size else 0.0
+    return ShiftOffsets(u_off, p_off)
+
+
 def shift_to_floor(potentials, epsilon=1e-9):
     """Translate each block so its minimum entry equals `epsilon` exactly,
     whether that means shifting up or down.
@@ -96,13 +110,18 @@ def shift_to_floor(potentials, epsilon=1e-9):
     gradient, so merely lifting negative entries would make the iterate
     sequence depend on the input's offset.  Pinning the minimum to the
     floor makes uniformly shifted inputs produce identical effective
-    problems, hence identical trajectories and labelings."""
-    u_off = epsilon - potentials.unary.min()
-    p_off = epsilon - potentials.pairwise.min() if potentials.pairwise.size else 0.0
-    if u_off == 0.0 and p_off == 0.0:
-        return potentials, ShiftOffsets(0.0, 0.0)
-    shifted = Potentials(potentials.unary + u_off, potentials.pairwise + p_off)
-    return shifted, ShiftOffsets(u_off, p_off)
+    problems, hence identical trajectories and labelings.
+
+    The decoders shift Potts graphs without this function: they apply
+    the same offsets to the per-edge (diagonal, off-diagonal) weights
+    (see `_decoder_terms`), and call it only for general blocks."""
+    offsets = _floor_offsets(potentials.unary, potentials.pairwise, epsilon)
+    if offsets.unary == 0.0 and offsets.pairwise == 0.0:
+        return potentials, offsets
+    shifted = Potentials(
+        potentials.unary + offsets.unary, potentials.pairwise + offsets.pairwise
+    )
+    return shifted, offsets
 
 
 def compute_gradient(graph, potentials, marginals):
@@ -114,11 +133,13 @@ def compute_gradient(graph, potentials, marginals):
     which leaves the objective unchanged and makes this the exact
     gradient for non-symmetric matrices as well; the dissimilarity
     construction always produces symmetric ones.  Evaluated through the
-    same sparse operator that `solve` iterates with.
+    same sparse operator that `solve` iterates with, on the unshifted
+    potentials.
     """
     _check_dims(graph, potentials)
     mu = check_marginals(marginals, graph.num_nodes, graph.num_labels)
-    return potentials.unary + 2.0 * _quadratic_operator(graph, potentials.pairwise)(mu)
+    terms = _decoder_terms(potentials, epsilon=None)
+    return potentials.unary + 2.0 * _quadratic_operator(graph, terms)(mu)
 
 
 def iterate(marginals, q):
@@ -149,56 +170,128 @@ def iterate(marginals, q):
     return out
 
 
-def _initial_marginals(graph, potentials, strategy):
-    n, k = graph.num_nodes, graph.num_labels
+def _initial_marginals(unary, strategy):
+    n, k = unary.shape
     if strategy == "uniform":
         # Tiny deterministic perturbation: exact uniform rows are a fixed
         # point on symmetric instances.
         flat = np.arange(n * k, dtype=np.float64)
         mu = 1.0 / k + 1e-6 * (np.remainder(flat, 7.0) / 7.0).reshape(n, k)
     else:
-        z = potentials.unary - potentials.unary.max(axis=1, keepdims=True)
+        z = unary - unary.max(axis=1, keepdims=True)
         mu = np.exp(z)
     return mu / mu.sum(axis=1, keepdims=True)
 
 
-def _potts_weights(sym):
-    """Per-edge (diagonal, off-diagonal) values of symmetric blocks
-    `sym` (E, K, K) when, on every edge, all diagonal entries are
-    bitwise equal and all off-diagonal entries are bitwise equal;
-    None as soon as one edge breaks the pattern."""
-    bits = np.ascontiguousarray(sym).view(np.uint64)
-    eye = np.eye(sym.shape[1], dtype=bool)
-    diag, off = bits[:, eye], bits[:, ~eye]
-    if not ((diag == diag[:, :1]).all() and (off == off[:, :1]).all()):
+def _potts_weights(blocks):
+    """Per-edge (diagonal, off-diagonal) values of `blocks` (E, K, K),
+    as an (E, 2) array, when on every edge all diagonal entries are
+    bitwise equal and all off-diagonal entries are bitwise equal; None
+    as soon as one edge breaks the pattern.
+
+    In a flattened block, entries K + 1 apart are both diagonal or both
+    off-diagonal, and entries 1..K are off-diagonal, one from each of
+    the K off-diagonal residue classes mod K + 1.  So a block is Potts
+    exactly when it repeats with period K + 1 and its entries 1..K
+    agree.  The period is checked on the raw bits in contiguous passes
+    of `_CHECK_BLOCKS` blocks, so no (E, K, K) temporary is made."""
+    e, k = blocks.shape[:2]
+    size, period = k * k, k + 1
+    flat = np.ascontiguousarray(blocks).view(np.uint64).reshape(-1)
+    repeats = np.empty(min(e, _CHECK_BLOCKS) * size, dtype=bool)
+    for start in range(0, flat.size, _CHECK_BLOCKS * size):
+        chunk = flat[start : start + _CHECK_BLOCKS * size]
+        same = repeats[: chunk.size]
+        np.equal(chunk[:-period], chunk[period:], out=same[:-period])
+        # the last K + 1 comparisons of a block reach into the next one
+        if not same.reshape(-1, size)[:, : size - period].all():
+            return None
+    bits = flat.reshape(e, size)
+    if not all((bits[:, j] == bits[:, 1]).all() for j in range(2, period)):
         return None
-    return sym[:, 0, 0], sym[:, 0, 1]
+    return blocks[:, 0, :2].copy()
 
 
-def _quadratic_operator(graph, pairwise):
+class _DecoderTerms(NamedTuple):
+    """What a decoder needs of potentials: the (shifted) unary, the
+    offsets of the shift, and the pairwise sums psi + psi^T of every
+    edge, either as (E, 2) Potts (diagonal, off-diagonal) weights or,
+    when some edge is not Potts, as full (E, K, K) blocks."""
+
+    unary: np.ndarray
+    offsets: ShiftOffsets
+    potts: np.ndarray | None
+    sums: np.ndarray | None
+
+
+def _decoder_terms(potentials, epsilon=1e-9):
+    """Floor-shift `potentials` (none when `epsilon` is None) and split
+    off the pairwise sums psi + psi^T, deciding Potts first from the raw
+    blocks.
+
+    A Potts graph (every raw block bitwise Potts) is read once, for the
+    check, and then handled as (E, 2) weights: a Potts block holds only
+    its two weights, so `shift_to_floor`'s minimum over the blocks is
+    the minimum over the weights, its shift moves both alike, and
+    psi + psi^T is w + w.  The shifted unary and weights are checked to
+    be finite, as `shift_to_floor` checks the blocks it shifts.  Any
+    other graph goes through `shift_to_floor` and forms the sums in
+    full; it still takes the Potts path when the sums are bitwise
+    Potts, as an asymmetric pair with a Potts symmetric part is."""
+    weights = _potts_weights(potentials.pairwise)
+    if weights is None:
+        if epsilon is None:
+            shifted, offsets = potentials, ShiftOffsets(0.0, 0.0)
+        else:
+            shifted, offsets = shift_to_floor(potentials, epsilon)
+        psi = shifted.pairwise
+        sums = psi + psi.transpose(0, 2, 1)
+        potts = _potts_weights(sums)
+        if potts is not None:
+            sums = None
+        return _DecoderTerms(shifted.unary, offsets, potts, sums)
+    unary, offsets = potentials.unary, ShiftOffsets(0.0, 0.0)
+    if epsilon is not None:
+        offsets = _floor_offsets(unary, weights, epsilon)
+        unary = unary + offsets.unary
+        weights += offsets.pairwise
+        if not (_finite(unary) and _finite(weights)):
+            raise ValueError("potentials must be finite")
+    return _DecoderTerms(unary, offsets, weights + weights, None)
+
+
+def _quadratic_operator(graph, terms):
     """Pairwise operator matvec(mu) -> (N, K) with sum(mu * matvec(mu))
     equal to the pairwise objective term and gradient contribution
-    2 * matvec(mu).
+    2 * matvec(mu), built from `_decoder_terms`.
 
-    When every edge's symmetric part is Potts, o * 11^T + (d - o) * I,
-    the operator is two N x N adjacencies with 2E non-zeros each:
-    W_delta @ mu + (W_o @ rowsum(mu)) broadcast over labels.  Any other
-    graph uses the general (N*K, N*K) CSR with 2 * E * K^2 non-zeros."""
+    On Potts graphs each edge's symmetric part is o * 11^T + (d - o) * I
+    and the operator is two N x N adjacencies with 2E non-zeros each:
+    W_delta @ mu + (W_o @ rowsum(mu)) broadcast over labels.  Both share
+    one CSR pattern, column-sorted within each row as scipy's COO
+    conversion orders it, so sums run in the order they always have.
+    Any other graph uses the general (N*K, N*K) CSR with 2 * E * K^2
+    non-zeros."""
     n, k = graph.num_nodes, graph.num_labels
     if not graph.num_edges:
         return lambda mu: np.zeros((n, k))
     ea = graph.edges
-    sym = 0.5 * (pairwise + pairwise.transpose(0, 2, 1))
-    potts = _potts_weights(sym)
-    if potts is not None:
+    if terms.potts is not None:
+        num_e = graph.num_edges
         rows = np.concatenate([ea[:, 0], ea[:, 1]])
         cols = np.concatenate([ea[:, 1], ea[:, 0]])
+        # keys are distinct, so every sort kind gives this order; the
+        # stable one is the fastest on the sorted runs of an edge list
+        order = np.argsort(rows * n + cols, kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        indices = cols[order]
+        edge_of = order % num_e
 
         def adjacency(weights):
-            data = np.concatenate([weights, weights])
-            return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+            return sp.csr_matrix((weights[edge_of], indices, indptr), shape=(n, n))
 
-        diag, off = potts
+        diag, off = 0.5 * terms.potts.T
         w_delta, w_off = adjacency(diag - off), adjacency(off)
         ones = np.ones(k)
 
@@ -209,6 +302,7 @@ def _quadratic_operator(graph, pairwise):
 
         return potts_matvec
 
+    sym = 0.5 * terms.sums
     dim = n * k
     p_idx, q_idx = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
     rows_ij = (ea[:, 0, None, None] * k + p_idx).ravel()
@@ -222,7 +316,7 @@ def _quadratic_operator(graph, pairwise):
 
 def _finite(x):
     # min and max propagate NaN, so two reductions replace an isfinite mask
-    return bool(np.isfinite(x.min()) and np.isfinite(x.max()))
+    return bool(np.isfinite(x.min(initial=0.0)) and np.isfinite(x.max(initial=0.0)))
 
 
 def solve(graph, potentials, config=None, callback=None):
@@ -232,18 +326,22 @@ def solve(graph, potentials, config=None, callback=None):
     ----------
     graph : CrfGraph
     potentials : Potentials
-        Arbitrary finite scores; translated internally by
+        Arbitrary finite scores; translated internally onto the floor of
         `shift_to_floor`, so uniformly shifted inputs solve identically.
     config : SolverConfig, optional
     callback : callable, optional
         Called as callback(iteration, marginals) after every update.
 
-    When every edge's symmetric block is Potts (all diagonal entries
-    bitwise equal, all off-diagonal entries bitwise equal, edge by
-    edge), the pairwise term runs on two N x N adjacencies with 2E
-    non-zeros instead of a K x K block per edge; traces agree with the
-    general operator to roundoff, as the sums run in another order.
-    Any non-Potts edge sends the whole graph to the general operator.
+    When every edge's block is Potts (all diagonal entries bitwise
+    equal, all off-diagonal entries bitwise equal, edge by edge), the
+    pairwise term runs on two N x N adjacencies with 2E non-zeros
+    instead of a K x K block per edge; traces agree with the general
+    operator to roundoff, as the sums run in another order.  Potts is
+    decided from the raw blocks, which are read once: the floor shift
+    then acts on the per-edge (diagonal, off-diagonal) weights, and no
+    K x K block is copied.  A graph whose raw blocks are not all Potts
+    but whose symmetric parts are still takes the Potts operator; any
+    other graph takes the general one.
 
     One iteration is one operator application, one `iterate` step and
     a handful of reductions: the gradient is formed in place in the
@@ -268,12 +366,12 @@ def solve(graph, potentials, config=None, callback=None):
         config = SolverConfig()
     _check_dims(graph, potentials)
     t0 = time.perf_counter()
-    shifted, offsets = shift_to_floor(potentials)
-    offset = offsets.objective_offset(graph)
-    matvec = _quadratic_operator(graph, shifted.pairwise)
-    b = shifted.unary.ravel()
+    terms = _decoder_terms(potentials)
+    offset = terms.offsets.objective_offset(graph)
+    matvec = _quadratic_operator(graph, terms)
+    b = terms.unary.ravel()
 
-    mu = _initial_marginals(graph, shifted, config.init)
+    mu = _initial_marginals(terms.unary, config.init)
     a = mu.ravel()
     qa = matvec(mu).ravel()
     trace = [float(b @ a + a @ qa) - offset]

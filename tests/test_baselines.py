@@ -9,14 +9,14 @@ from crfqp import (
     ConstraintSets,
     CrfGraph,
     Potentials,
+    SolverFailure,
     brute_force_map,
     generate_scene,
     lbp_map,
     reduce_problem,
-    shift_to_floor,
 )
 from crfqp.baselines import BRUTE_FORCE_LIMIT, _belief_sum
-from crfqp.solver import _potts_weights
+from crfqp.solver import _decoder_terms
 from helpers import (
     dense_lbp,
     enumerate_map,
@@ -153,9 +153,8 @@ def _assert_same_run(graph, pot, **kwargs):
 
 
 def _is_potts(pot):
-    """Whether lbp_map takes the Potts path: it tests the shifted blocks."""
-    psi = shift_to_floor(pot)[0].pairwise
-    return _potts_weights(psi + psi.transpose(0, 2, 1)) is not None
+    """Whether lbp_map takes the Potts path."""
+    return _decoder_terms(pot).potts is not None
 
 
 def test_lbp_matches_dense_reference_bitwise_on_potts_scenes():
@@ -190,6 +189,22 @@ def test_lbp_matches_dense_reference_bitwise_on_general_blocks():
     moved = Potentials(pot.unary, pairwise)
     assert _is_potts(pot) and not _is_potts(moved)
     _assert_same_run(graph, moved)
+
+
+def test_lbp_raises_when_messages_turn_non_finite():
+    graph = CrfGraph(3, 2, [(0, 1), (1, 2)])
+    unary = [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]
+    # psi + psi^T overflows on the diagonal, on the Potts path and on
+    # the dense one
+    for block, potts in (
+        (np.where(np.eye(2, dtype=bool), 1.5e308, 0.0), True),
+        (np.diag([1.5e308, 1.0]), False),
+    ):
+        pot = Potentials(unary, [block, block])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _is_potts(pot) == potts
+            with pytest.raises(SolverFailure, match="non-finite messages at iteration 1"):
+                lbp_map(graph, pot)
 
 
 def test_belief_sums_match_sequential_scatter():

@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 
 import crfqp.cli as cli
-from crfqp import SolverFailure, load_problem, objective_of_labeling
+from crfqp import (
+    ConstraintSets,
+    CrfGraph,
+    Potentials,
+    ProblemFile,
+    SolverFailure,
+    load_problem,
+    objective_of_labeling,
+    save_problem,
+)
 from helpers import enumerate_map
 
 
@@ -222,6 +231,22 @@ def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
     rc = cli.main(["solve", str(problem_path), "--solver", "qp"])
     assert rc == 3
     assert "solver error: objective decreased" in capsys.readouterr().err
+
+
+def test_lbp_overflow_exits_3(tmp_path, capsys):
+    # psi + psi^T overflows, so the messages turn non-finite
+    block = np.where(np.eye(2, dtype=bool), 1.5e308, 0.0)
+    problem = ProblemFile(
+        graph=CrfGraph(3, 2, [(0, 1), (1, 2)]),
+        potentials=Potentials(np.zeros((3, 2)), [block, block]),
+        constraint_sets=ConstraintSets(),
+        features=None,
+    )
+    path = tmp_path / "overflow.json"
+    save_problem(problem, path)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["solve", str(path), "--solver", "lbp"]) == 3
+    assert "solver error: non-finite messages at iteration 1" in capsys.readouterr().err
 
 
 def test_bench_writes_csv_and_prints_speedups(tmp_path, capsys):

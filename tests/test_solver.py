@@ -1,6 +1,8 @@
 """Floor shift, the closed-form gradient (the sparse operator `solve`
 iterates with), the multiplicative update, and the full solve loops."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,9 @@ from crfqp import (
     SolverFailure,
     compute_gradient,
     extract_labeling,
+    generate_scene,
     iterate,
+    lbp_map,
     objective,
     pairwise_potential,
     reduce_problem,
@@ -20,8 +24,15 @@ from crfqp import (
     solve,
     solve_constrained,
 )
-from crfqp.solver import _initial_marginals, _potts_weights, _quadratic_operator
+from crfqp.solver import (
+    ShiftOffsets,
+    _decoder_terms,
+    _initial_marginals,
+    _potts_weights,
+    _quadratic_operator,
+)
 from helpers import (
+    dense_lbp,
     fd_gradient,
     loop_pairwise_matvec,
     random_disjoint_sets,
@@ -115,7 +126,7 @@ def test_solve_steps_along_compute_gradient():
         )
         assert len(steps) == 5
         shifted, _ = shift_to_floor(pot)
-        prev = _initial_marginals(graph, shifted, "uniform")
+        prev = _initial_marginals(shifted.unary, "uniform")
         # each step is bitwise the public update along the public gradient
         for got in steps:
             expected = iterate(prev, compute_gradient(graph, shifted, prev))
@@ -124,7 +135,8 @@ def test_solve_steps_along_compute_gradient():
 
 
 def _operator_error(graph, pairwise, mu):
-    got = _quadratic_operator(graph, pairwise)(mu)
+    unshifted = Potentials(np.zeros(mu.shape), pairwise)
+    got = _quadratic_operator(graph, _decoder_terms(unshifted, epsilon=None))(mu)
     want = loop_pairwise_matvec(graph, pairwise, mu)
     assert got.shape == want.shape
     return np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
@@ -146,7 +158,7 @@ def test_potts_operator_matches_edge_loop():
         for g, p in cases:
             if not g.num_edges:
                 continue
-            assert _potts_weights(0.5 * (p.pairwise + p.pairwise.transpose(0, 2, 1)))
+            assert _potts_weights(p.pairwise) is not None
             mu = random_marginals(rng, g.num_nodes, k)
             assert _operator_error(g, p.pairwise, mu) < 1e-12
     # dense blocks take the K x K operator, checked against the same loop
@@ -159,7 +171,7 @@ def test_potts_operator_matches_edge_loop():
 def test_potts_detection_is_bitwise_and_per_graph():
     eye = np.eye(3, dtype=bool)
     sym = np.where(eye, np.array([0.75, -2.0])[:, None, None], np.array([0.25, 0.5])[:, None, None])
-    diag, off = _potts_weights(sym)
+    diag, off = _potts_weights(sym).T
     assert diag.tolist() == [0.75, -2.0] and off.tolist() == [0.25, 0.5]
     # one entry of one block moved by one ulp sends the whole graph to
     # the general path
@@ -174,6 +186,107 @@ def test_potts_detection_is_bitwise_and_per_graph():
     assert _potts_weights(0.5 * (moved + moved.transpose(0, 2, 1))) is None
     assert _operator_error(graph, moved, mu) < 1e-15
     assert _operator_error(graph, sym, mu) < 1e-15
+
+
+def test_potts_is_decided_from_the_raw_blocks():
+    # The unary and pairwise minima sit on the floor, so the shift is 0
+    # and cannot round a moved entry back.  0.25 + ulp and 0.75 + ulp
+    # have odd last bits, so the half-ulp tie of an entry moved by one
+    # ulp plus its unmoved transpose rounds away from the unmoved sum.
+    k, floor = 3, 1e-9
+    eye = np.eye(k, dtype=bool)
+    d, o = np.nextafter(0.75, 1.0), np.nextafter(0.25, 1.0)
+    pairwise = np.stack([np.full((k, k), floor), np.where(eye, d, o)])
+    unary = np.ones((3, k))
+    unary[0, 0] = floor
+    terms = _decoder_terms(Potentials(unary, pairwise))
+    assert terms.offsets == ShiftOffsets(0.0, 0.0) and terms.sums is None
+    assert terms.potts.tolist() == [[2 * floor, 2 * floor], [2 * d, 2 * o]]
+    for p in range(k):
+        for q in range(k):
+            for direction in (-np.inf, np.inf):
+                moved = pairwise.copy()
+                moved[1, p, q] = np.nextafter(moved[1, p, q], direction)
+                assert _potts_weights(moved) is None
+                terms = _decoder_terms(Potentials(unary, moved))
+                assert terms.potts is None and terms.sums.shape == (2, k, k)
+
+
+def test_asymmetric_blocks_with_a_potts_symmetric_part_take_the_potts_path():
+    rng = np.random.default_rng(61)
+    graph, pot = random_potts_instance(rng, 10, 3, edge_prob=0.5)
+    # off-diagonals 0.25 +- 0.125 across the diagonal: no raw block is
+    # Potts, every symmetric part is, and the diagonal 1e-9 is the floor
+    # (a zero pairwise shift), so 0.375 + 0.125 == 0.25 + 0.25 exactly
+    skew = np.triu(np.full((3, 3), 0.125), 1)
+    block = np.where(np.eye(3, dtype=bool), 1e-9, 0.25) + skew - skew.T
+    pot = Potentials(pot.unary, np.broadcast_to(block, (graph.num_edges, 3, 3)))
+    assert _potts_weights(pot.pairwise) is None
+    for epsilon in (1e-9, None):
+        terms = _decoder_terms(pot, epsilon)
+        assert terms.sums is None
+        assert terms.potts.tolist() == [[2e-9, 0.5]] * graph.num_edges
+    mu = random_marginals(rng, 10, 3)
+    assert _operator_error(graph, pot.pairwise, mu) < 1e-12
+    want = pot.unary + 2.0 * loop_pairwise_matvec(graph, pot.pairwise, mu)
+    np.testing.assert_allclose(compute_gradient(graph, pot, mu), want, rtol=1e-12)
+    steps = []
+    config = SolverConfig(max_iterations=5, tol=1e-300)
+    solve(graph, pot, config, callback=lambda _, mu: steps.append(mu.copy()))
+    shifted, _ = shift_to_floor(pot)
+    prev = _initial_marginals(shifted.unary, "uniform")
+    for got in steps:
+        np.testing.assert_array_equal(got, iterate(prev, compute_gradient(graph, shifted, prev)))
+        prev = got
+    labeling, report = lbp_map(graph, pot, max_iters=30)
+    want_lab, want_report = dense_lbp(graph, pot, max_iters=30)
+    assert labeling.tolist() == want_lab.tolist()
+    assert report.objective_trace == want_report.objective_trace
+    assert report.iterations == want_report.iterations
+
+
+def test_floor_shift_overflow_is_rejected():
+    graph = CrfGraph(3, 3, [(0, 1), (1, 2)])
+    eye = np.eye(3, dtype=bool)
+    wide_unary = np.zeros((3, 3))
+    wide_unary[0, :2] = 1e308, -1e308
+    cases = (
+        Potentials(wide_unary, [np.where(eye, 0.5, 0.25)] * 2),
+        Potentials(np.zeros((3, 3)), [np.where(eye, 1e308, -1e308)] * 2),
+        Potentials(np.zeros((3, 3)), [np.diag([1e308, -1e308, 0.0])] * 2),
+    )
+    mu = np.full((3, 3), 1.0 / 3.0)
+    for pot in cases:
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="potentials must be finite"):
+                solve(graph, pot)
+            with pytest.raises(ValueError, match="potentials must be finite"):
+                lbp_map(graph, pot)
+        # the gradient is that of the unshifted objective: no shift runs,
+        # and the sums overflow as the reference's do
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = pot.unary + 2.0 * loop_pairwise_matvec(graph, pot.pairwise, mu)
+            np.testing.assert_allclose(compute_gradient(graph, pot, mu), want, rtol=1e-12)
+
+
+def test_potts_set_up_copies_no_block():
+    scene = generate_scene(40, 40, num_objects=3, num_labels=7, seed=0)
+    graph, pot = scene.graph, scene.potentials
+    mu = np.full((graph.num_nodes, 7), 1.0 / 7.0)
+    # peak traced bytes, in units of the (E, K, K) pairwise array
+    runs = (
+        (lambda: solve(graph, pot, SolverConfig(max_iterations=5)), 1),
+        (lambda: compute_gradient(graph, pot, mu), 1),
+        (lambda: lbp_map(graph, pot, max_iters=5), 2),
+    )
+    for run, limit in runs:
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit * pot.pairwise.nbytes
 
 
 def test_iterate_known_step():
