@@ -13,15 +13,7 @@ from .reduction import ConstraintSets
 from .solver import SolverConfig, solve, solve_constrained
 from .synthetic import generate_scene, tile_constraint_candidates
 
-__all__ = [
-    "BenchmarkRow",
-    "grid_for_size",
-    "constraint_prefix",
-    "benchmark_constraint_sets",
-    "run_benchmark",
-    "rows_to_csv",
-    "speedup_summary",
-]
+__all__ = ["run_benchmark", "rows_to_csv", "speedup_summary"]
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from .reduction import ConstraintSets
 
 __all__ = [
     "CloudParams",
-    "PlaneModel",
     "NodeProjection",
     "remove_ground_plane",
     "euclidean_cluster",
@@ -58,9 +57,6 @@ class PlaneModel:
     normal: np.ndarray
     offset: float
 
-    def distances(self, points):
-        return np.abs(points @ self.normal + self.offset)
-
 
 @dataclass(frozen=True)
 class NodeProjection:
@@ -74,14 +70,6 @@ class NodeProjection:
         if mapping.ndim != 1:
             raise ValueError("projection mapping must be 1-D")
         object.__setattr__(self, "mapping", mapping)
-
-    def check_bounds(self, num_nodes, num_points=None):
-        if num_points is not None and self.mapping.shape[0] != num_points:
-            raise ValueError(
-                f"projection covers {self.mapping.shape[0]} points, cloud has {num_points}"
-            )
-        if self.mapping.size and self.mapping.max() >= num_nodes:
-            raise ValueError("projection maps to node indices beyond the graph")
 
 
 def _as_points(cloud):

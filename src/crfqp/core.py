@@ -14,16 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "CrfGraph",
-    "Potentials",
-    "objective",
-    "objective_of_labeling",
-    "extract_labeling",
-    "one_hot",
-    "check_marginals",
-    "check_labeling",
-]
+__all__ = ["CrfGraph", "Potentials", "objective_of_labeling", "extract_labeling"]
 
 
 @dataclass(frozen=True)
@@ -127,7 +118,8 @@ def check_marginals(marginals, num_nodes=None, num_labels=None, tol=1e-9):
         raise ValueError(f"expected {num_nodes} rows, got {mu.shape[0]}")
     if num_labels is not None and mu.shape[1] != num_labels:
         raise ValueError(f"expected {num_labels} columns, got {mu.shape[1]}")
-    if mu.min(initial=0.0) < -1e-12 or mu.max(initial=0.0) > 1.0 + 1e-12:
+    # written so that NaN, which compares false, fails the test
+    if not (mu.min(initial=0.0) >= -1e-12 and mu.max(initial=0.0) <= 1.0 + 1e-12):
         raise ValueError("marginal entries must lie in [0, 1]")
     sums = mu.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > tol):
@@ -147,14 +139,6 @@ def check_labeling(labeling, num_nodes, num_labels):
     if x.size and (x.min() < 0 or x.max() >= num_labels):
         raise ValueError(f"labels must lie in [0, {num_labels})")
     return x
-
-
-def one_hot(labeling, num_labels):
-    """One-hot marginal rows for an integer labeling."""
-    x = np.asarray(labeling, dtype=np.int64)
-    out = np.zeros((x.shape[0], num_labels))
-    out[np.arange(x.shape[0]), x] = 1.0
-    return out
 
 
 def objective(graph, potentials, marginals):

@@ -17,7 +17,7 @@ from .core import extract_labeling, objective_of_labeling
 from .metrics import MetricsReport, compute_metrics
 from .solver import SolverConfig, solve, solve_constrained
 
-__all__ = ["MethodResult", "evaluate_scene", "summarize_reports", "METHODS"]
+__all__ = ["evaluate_scene", "summarize_reports"]
 
 METHODS = ("unary", "lbp", "qp", "cqp")
 
@@ -43,13 +43,7 @@ def _score(scene, method, labeling, wall, iterations):
     )
 
 
-def evaluate_scene(
-    scene,
-    methods=METHODS,
-    solver_config=None,
-    cloud_params=None,
-    constraint_sets=None,
-):
+def evaluate_scene(scene, methods=METHODS, solver_config=None, constraint_sets=None):
     """Run the requested methods on one scene.
 
     Constraint sets for "cqp" default to the full cloud pipeline on the
@@ -73,7 +67,7 @@ def evaluate_scene(
         elif method == "cqp":
             sets = constraint_sets
             if sets is None:
-                params = cloud_params or CloudParams(rng_seed=scene.seed)
+                params = CloudParams(rng_seed=scene.seed)
                 sets = build_constraint_sets(scene.cloud, params, scene.projection)
             _, labeling, report = solve_constrained(
                 scene.graph, scene.potentials, sets, config

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["MetricsReport", "confusion_matrix", "compute_metrics"]
+__all__ = ["compute_metrics"]
 
 
 @dataclass(frozen=True)
@@ -15,14 +15,6 @@ class MetricsReport:
     macro_accuracy: float
     macro_f1: float
     per_class: dict = field(repr=False)
-
-    def as_row(self):
-        return (
-            self.macro_precision,
-            self.macro_recall,
-            self.macro_accuracy,
-            self.macro_f1,
-        )
 
 
 def confusion_matrix(truth, predicted, num_labels):

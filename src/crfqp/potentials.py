@@ -13,14 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-__all__ = [
-    "NodeFeatures",
-    "PotentialParams",
-    "build_edges",
-    "bhattacharyya_distance",
-    "pairwise_potential",
-    "edge_dissimilarities",
-]
+__all__ = ["bhattacharyya_distance"]
 
 
 @dataclass(frozen=True)

@@ -17,14 +17,7 @@ from .core import CrfGraph, Potentials
 from .potentials import NodeFeatures, pairwise_potential
 from .reduction import ConstraintSets
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "ProblemFile",
-    "problem_from_dict",
-    "problem_to_dict",
-    "load_problem",
-    "save_problem",
-]
+__all__ = ["ProblemFile", "load_problem", "save_problem"]
 
 SCHEMA_VERSION = 1
 # per-node feature fields, in the column order of `NodeFeatures`
@@ -37,24 +30,6 @@ class ProblemFile:
     potentials: Potentials
     constraint_sets: ConstraintSets
     features: NodeFeatures  # or None
-
-    def equivalent(self, other):
-        """Structural equality, used by round-trip checks."""
-
-        def arrays(problem):
-            p, f = problem.potentials, problem.features
-            out = [problem.graph.edges, p.unary, p.pairwise]
-            if f is not None:
-                out += [f.centroids, f.mean_colors, f.histograms]
-            return out
-
-        # unary's shape carries the node and label counts
-        mine, theirs = arrays(self), arrays(other)
-        return (
-            self.constraint_sets.sets == other.constraint_sets.sets
-            and len(mine) == len(theirs)
-            and all(np.array_equal(a, b) for a, b in zip(mine, theirs))
-        )
 
 
 def _fail(field, message):

@@ -19,12 +19,9 @@ from .core import CrfGraph, Potentials, _check_dims, check_marginals
 
 __all__ = [
     "ConstraintSets",
-    "ReducedProblem",
     "build_constraint_matrix",
-    "build_null_space_operator",
     "expansion_operator",
     "reduce_problem",
-    "expand_solution",
 ]
 
 

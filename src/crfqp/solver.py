@@ -22,27 +22,19 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .core import (
-    CrfGraph,
-    Potentials,
-    _check_dims,
-    check_marginals,
-    extract_labeling,
-)
+from .core import Potentials, _check_dims, check_marginals, extract_labeling
 from .reduction import expand_solution, reduce_problem
 
 __all__ = [
     "SolverConfig",
-    "SolveReport",
-    "ShiftOffsets",
     "SolverFailure",
-    "shift_to_floor",
     "compute_gradient",
-    "iterate",
     "solve",
     "solve_constrained",
 ]
 
+# Value the floor shift moves the minimum unary and pairwise entries to.
+FLOOR = 1e-9
 
 # Blocks whose bits one pass of the Potts check compares: bounds its
 # temporary to _CHECK_BLOCKS * K^2 bytes.
@@ -94,16 +86,16 @@ class ShiftOffsets:
         return self.unary * graph.num_nodes + self.pairwise * 2 * graph.num_edges
 
 
-def _floor_offsets(unary, pairwise, epsilon):
+def _floor_offsets(unary, pairwise):
     """Offsets that move the minimum unary and pairwise entries onto
-    `epsilon`; `pairwise` may be any array holding every pairwise value."""
-    u_off = epsilon - unary.min()
-    p_off = epsilon - pairwise.min() if pairwise.size else 0.0
+    `FLOOR`; `pairwise` may be any array holding every pairwise value."""
+    u_off = FLOOR - unary.min()
+    p_off = FLOOR - pairwise.min() if pairwise.size else 0.0
     return ShiftOffsets(u_off, p_off)
 
 
-def shift_to_floor(potentials, epsilon=1e-9):
-    """Translate each block so its minimum entry equals `epsilon` exactly,
+def shift_to_floor(potentials):
+    """Translate each block so its minimum entry equals `FLOOR` exactly,
     whether that means shifting up or down.
 
     The multiplicative update is not invariant to constants added to its
@@ -115,7 +107,7 @@ def shift_to_floor(potentials, epsilon=1e-9):
     The decoders shift Potts graphs without this function: they apply
     the same offsets to the per-edge (diagonal, off-diagonal) weights
     (see `_decoder_terms`), and call it only for general blocks."""
-    offsets = _floor_offsets(potentials.unary, potentials.pairwise, epsilon)
+    offsets = _floor_offsets(potentials.unary, potentials.pairwise)
     if offsets.unary == 0.0 and offsets.pairwise == 0.0:
         return potentials, offsets
     shifted = Potentials(
@@ -135,11 +127,17 @@ def compute_gradient(graph, potentials, marginals):
     construction always produces symmetric ones.  Evaluated through the
     same sparse operator that `solve` iterates with, on the unshifted
     potentials.
+
+    Raises ValueError when the gradient overflows float64, as it does
+    when psi + psi^T does.
     """
     _check_dims(graph, potentials)
     mu = check_marginals(marginals, graph.num_nodes, graph.num_labels)
-    terms = _decoder_terms(potentials, epsilon=None)
-    return potentials.unary + 2.0 * _quadratic_operator(graph, terms)(mu)
+    terms = _decoder_terms(potentials, shift=False)
+    q = potentials.unary + 2.0 * _quadratic_operator(graph, terms)(mu)
+    if not _finite(q):
+        raise ValueError("gradient overflows float64; the potentials are too large")
+    return q
 
 
 def iterate(marginals, q):
@@ -224,8 +222,8 @@ class _DecoderTerms(NamedTuple):
     sums: np.ndarray | None
 
 
-def _decoder_terms(potentials, epsilon=1e-9):
-    """Floor-shift `potentials` (none when `epsilon` is None) and split
+def _decoder_terms(potentials, shift=True):
+    """Floor-shift `potentials` (unless `shift` is false) and split
     off the pairwise sums psi + psi^T, deciding Potts first from the raw
     blocks.
 
@@ -240,10 +238,10 @@ def _decoder_terms(potentials, epsilon=1e-9):
     Potts, as an asymmetric pair with a Potts symmetric part is."""
     weights = _potts_weights(potentials.pairwise)
     if weights is None:
-        if epsilon is None:
-            shifted, offsets = potentials, ShiftOffsets(0.0, 0.0)
+        if shift:
+            shifted, offsets = shift_to_floor(potentials)
         else:
-            shifted, offsets = shift_to_floor(potentials, epsilon)
+            shifted, offsets = potentials, ShiftOffsets(0.0, 0.0)
         psi = shifted.pairwise
         sums = psi + psi.transpose(0, 2, 1)
         potts = _potts_weights(sums)
@@ -251,8 +249,8 @@ def _decoder_terms(potentials, epsilon=1e-9):
             sums = None
         return _DecoderTerms(shifted.unary, offsets, potts, sums)
     unary, offsets = potentials.unary, ShiftOffsets(0.0, 0.0)
-    if epsilon is not None:
-        offsets = _floor_offsets(unary, weights, epsilon)
+    if shift:
+        offsets = _floor_offsets(unary, weights)
         unary = unary + offsets.unary
         weights += offsets.pairwise
         if not (_finite(unary) and _finite(weights)):

@@ -23,12 +23,7 @@ from .potentials import (
     pairwise_potential,
 )
 
-__all__ = [
-    "Box",
-    "PlantedScene",
-    "generate_scene",
-    "tile_constraint_candidates",
-]
+__all__ = ["generate_scene"]
 
 HIST_BINS = 8
 
@@ -44,6 +39,8 @@ _BOX_SIDE_RANGE = (3, 6)
 _COLOR_NOISE = 0.32
 _HIST_NOISE = 0.18
 _HIST_FLOOR = 0.005
+# Side of the square blocks that `tile_constraint_candidates` cuts.
+_TILE = 4
 
 
 @dataclass(frozen=True)
@@ -56,10 +53,6 @@ class Box:
     c1: int
     label: int
     base_z: float
-
-    @property
-    def area(self):
-        return (self.r1 - self.r0) * (self.c1 - self.c0)
 
 
 @dataclass(frozen=True)
@@ -277,10 +270,10 @@ def generate_scene(
     )
 
 
-def tile_constraint_candidates(true_labels, width, height, tile=4):
+def tile_constraint_candidates(true_labels, width, height):
     """Candidate constraint sets from truth-aligned tiles.
 
-    The grid is cut into tile x tile blocks; within each block, the
+    The grid is cut into _TILE x _TILE blocks; within each block, the
     nodes sharing a true label form one candidate (if at least 2).
     Blocks are disjoint and label groups partition each block, so any
     subset of the candidates is a valid pairwise-disjoint collection.
@@ -289,12 +282,12 @@ def tile_constraint_candidates(true_labels, width, height, tile=4):
     if true_labels.shape != (width * height,):
         raise ValueError("true_labels length must equal width * height")
     candidates = []
-    for rb in range(0, height, tile):
-        for cb in range(0, width, tile):
+    for rb in range(0, height, _TILE):
+        for cb in range(0, width, _TILE):
             nodes = [
                 r * width + c
-                for r in range(rb, min(rb + tile, height))
-                for c in range(cb, min(cb + tile, width))
+                for r in range(rb, min(rb + _TILE, height))
+                for c in range(cb, min(cb + _TILE, width))
             ]
             groups = {}
             for node in nodes:

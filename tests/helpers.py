@@ -14,12 +14,11 @@ from scipy.spatial.distance import cdist
 from crfqp import (
     CrfGraph,
     Potentials,
-    SolveReport,
     bhattacharyya_distance,
     extract_labeling,
     objective_of_labeling,
-    shift_to_floor,
 )
+from crfqp.solver import SolveReport, shift_to_floor
 
 
 def random_graph(rng, num_nodes, num_labels, edge_prob=0.4):
@@ -318,3 +317,23 @@ def dense_lbp(graph, potentials, max_iters=200, damping=0.5):
         wall_time=time.perf_counter() - t0,
     )
     return best_labeling, report
+
+
+def same_problem(a, b):
+    """Structural equality of two ProblemFiles: constraint sets, edges,
+    potentials and (when present) feature columns, bit for bit.  The
+    unary's shape carries the node and label counts."""
+
+    def arrays(problem):
+        p, f = problem.potentials, problem.features
+        out = [problem.graph.edges, p.unary, p.pairwise]
+        if f is not None:
+            out += [f.centroids, f.mean_colors, f.histograms]
+        return out
+
+    mine, theirs = arrays(a), arrays(b)
+    return (
+        a.constraint_sets.sets == b.constraint_sets.sets
+        and len(mine) == len(theirs)
+        and all(np.array_equal(x, y) for x, y in zip(mine, theirs))
+    )

@@ -3,17 +3,8 @@
 import numpy as np
 import pytest
 
-import crfqp
-from crfqp import (
-    CrfGraph,
-    Potentials,
-    check_labeling,
-    check_marginals,
-    extract_labeling,
-    objective,
-    objective_of_labeling,
-    one_hot,
-)
+from crfqp import CrfGraph, Potentials, extract_labeling, objective_of_labeling
+from crfqp.core import check_labeling, check_marginals, objective
 from helpers import naive_objective, quad_objective, random_instance, random_marginals
 
 
@@ -60,7 +51,7 @@ def test_labeling_objective_equals_one_hot_relaxation():
         graph, pot = random_instance(rng, n, k, edge_prob=0.5)
         labeling = rng.integers(0, k, size=n)
         direct = objective_of_labeling(graph, pot, labeling)
-        relaxed = objective(graph, pot, one_hot(labeling, k))
+        relaxed = objective(graph, pot, np.eye(k)[labeling])
         assert direct == pytest.approx(relaxed, abs=1e-12)
 
 
@@ -80,11 +71,6 @@ def test_extract_labeling_argmax_and_ties():
     assert extract_labeling([[0.5, 0.5]]).tolist() == [0]
     assert extract_labeling([[0.2, 0.3, 0.5]]).tolist() == [2]
     assert extract_labeling([[0.1, 0.8, 0.1], [0.7, 0.2, 0.1]]).tolist() == [1, 0]
-
-
-def test_one_hot_rows():
-    out = one_hot([2, 0], 3)
-    assert out.tolist() == [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
 
 
 def test_graph_rejects_bad_edges():
@@ -151,6 +137,12 @@ def test_check_marginals_enforces_simplex():
         check_marginals([[1.0, 0.0]], num_nodes=2)
 
 
+def test_check_marginals_rejects_nan():
+    for mu in (np.full((2, 2), np.nan), [[0.5, 0.5], [np.nan, 1.0]]):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            check_marginals(mu)
+
+
 def test_check_labeling_bounds():
     out = check_labeling([0, 1, 1], 3, 2)
     assert out.dtype == np.int64
@@ -158,10 +150,3 @@ def test_check_labeling_bounds():
         check_labeling([0, 2], 2, 2)
     with pytest.raises(ValueError, match="shape"):
         check_labeling([0, 1], 3, 2)
-
-
-def test_public_names_resolve_once():
-    names = crfqp.__all__
-    assert len(names) == len(set(names))
-    for name in names:
-        assert hasattr(crfqp, name), name

@@ -7,10 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crfqp import (
+from crfqp import bhattacharyya_distance
+from crfqp.potentials import (
     NodeFeatures,
     PotentialParams,
-    bhattacharyya_distance,
     build_edges,
     edge_dissimilarities,
     pairwise_potential,

@@ -10,12 +10,11 @@ from crfqp import (
     CrfGraph,
     Potentials,
     build_constraint_matrix,
-    build_null_space_operator,
-    expand_solution,
     expansion_operator,
     objective_of_labeling,
     reduce_problem,
 )
+from crfqp.reduction import build_null_space_operator, expand_solution
 from helpers import (
     loop_reduction,
     random_disjoint_sets,

@@ -15,21 +15,21 @@ from crfqp import (
     compute_gradient,
     extract_labeling,
     generate_scene,
-    iterate,
     lbp_map,
-    objective,
-    pairwise_potential,
     reduce_problem,
-    shift_to_floor,
     solve,
     solve_constrained,
 )
+from crfqp.core import objective
+from crfqp.potentials import pairwise_potential
 from crfqp.solver import (
     ShiftOffsets,
     _decoder_terms,
     _initial_marginals,
     _potts_weights,
     _quadratic_operator,
+    iterate,
+    shift_to_floor,
 )
 from helpers import (
     dense_lbp,
@@ -44,21 +44,21 @@ from helpers import (
 
 def test_shift_lowers_positive_minimum_to_floor():
     pot = Potentials([[1.0, 2.0]], [np.array([[3.0, 4.0], [5.0, 6.0]])])
-    shifted, offsets = shift_to_floor(pot, epsilon=1e-9)
+    shifted, offsets = shift_to_floor(pot)
     assert offsets.unary == 1e-9 - 1.0
     assert offsets.pairwise == 1e-9 - 3.0
     assert shifted.unary.min() == pytest.approx(1e-9, rel=1e-6)
     assert shifted.pairwise.min() == pytest.approx(1e-9, rel=1e-6)
     # a problem already on the floor comes back unchanged
     on_floor = Potentials([[1e-9, 2.0]], [np.array([[1e-9, 4.0], [5.0, 6.0]])])
-    same, offsets = shift_to_floor(on_floor, epsilon=1e-9)
+    same, offsets = shift_to_floor(on_floor)
     assert same is on_floor
     assert offsets.unary == 0.0 and offsets.pairwise == 0.0
 
 
 def test_shift_lifts_minimum_to_epsilon():
     pot = Potentials([[-2.0, 1.0]], [np.array([[0.5, -0.25], [0.0, 0.0]])])
-    shifted, offsets = shift_to_floor(pot, epsilon=1e-9)
+    shifted, offsets = shift_to_floor(pot)
     assert offsets.unary == pytest.approx(2.0 + 1e-9, rel=1e-12)
     assert offsets.pairwise == pytest.approx(0.25 + 1e-9, rel=1e-12)
     assert shifted.unary.min() == pytest.approx(1e-9, rel=1e-6)
@@ -136,7 +136,7 @@ def test_solve_steps_along_compute_gradient():
 
 def _operator_error(graph, pairwise, mu):
     unshifted = Potentials(np.zeros(mu.shape), pairwise)
-    got = _quadratic_operator(graph, _decoder_terms(unshifted, epsilon=None))(mu)
+    got = _quadratic_operator(graph, _decoder_terms(unshifted, shift=False))(mu)
     want = loop_pairwise_matvec(graph, pairwise, mu)
     assert got.shape == want.shape
     return np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
@@ -222,8 +222,8 @@ def test_asymmetric_blocks_with_a_potts_symmetric_part_take_the_potts_path():
     block = np.where(np.eye(3, dtype=bool), 1e-9, 0.25) + skew - skew.T
     pot = Potentials(pot.unary, np.broadcast_to(block, (graph.num_edges, 3, 3)))
     assert _potts_weights(pot.pairwise) is None
-    for epsilon in (1e-9, None):
-        terms = _decoder_terms(pot, epsilon)
+    for shift in (True, False):
+        terms = _decoder_terms(pot, shift)
         assert terms.sums is None
         assert terms.potts.tolist() == [[2e-9, 0.5]] * graph.num_edges
     mu = random_marginals(rng, 10, 3)
@@ -262,11 +262,19 @@ def test_floor_shift_overflow_is_rejected():
                 solve(graph, pot)
             with pytest.raises(ValueError, match="potentials must be finite"):
                 lbp_map(graph, pot)
-        # the gradient is that of the unshifted objective: no shift runs,
-        # and the sums overflow as the reference's do
+    # the gradient is that of the unshifted objective: no shift runs, so
+    # the wide unary alone stays finite
+    pot = cases[0]
+    want = pot.unary + 2.0 * loop_pairwise_matvec(graph, pot.pairwise, mu)
+    np.testing.assert_allclose(compute_gradient(graph, pot, mu), want, rtol=1e-12)
+    # psi + psi^T overflows in the other two: the reference gradient is
+    # all NaN, or rows of +-inf, and compute_gradient refuses it
+    for pot in cases[1:]:
         with np.errstate(over="ignore", invalid="ignore"):
             want = pot.unary + 2.0 * loop_pairwise_matvec(graph, pot.pairwise, mu)
-            np.testing.assert_allclose(compute_gradient(graph, pot, mu), want, rtol=1e-12)
+            assert not np.isfinite(want).all(axis=1).any()
+            with pytest.raises(ValueError, match="gradient overflows"):
+                compute_gradient(graph, pot, mu)
 
 
 def test_potts_set_up_copies_no_block():

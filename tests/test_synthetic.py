@@ -3,15 +3,9 @@
 import numpy as np
 import pytest
 
-from crfqp import (
-    ConstraintSets,
-    evaluate_scene,
-    generate_scene,
-    pairwise_potential,
-    summarize_reports,
-    tile_constraint_candidates,
-)
-from crfqp.potentials import edge_dissimilarities
+from crfqp import ConstraintSets, evaluate_scene, generate_scene, summarize_reports
+from crfqp.potentials import edge_dissimilarities, pairwise_potential
+from crfqp.synthetic import tile_constraint_candidates
 
 
 def small_scene(**kwargs):
@@ -126,7 +120,7 @@ def test_scene_argument_validation():
 def test_tile_candidates_partition_tiles_by_label():
     scene = small_scene()
     candidates = tile_constraint_candidates(
-        scene.true_labels, scene.width, scene.height, tile=4
+        scene.true_labels, scene.width, scene.height
     )
     seen = set()
     for cand in candidates:
