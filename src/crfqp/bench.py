@@ -9,8 +9,9 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
+from .evaluate import decode
 from .reduction import ConstraintSets
-from .solver import SolverConfig, solve, solve_constrained
+from .solver import SolverConfig
 from .synthetic import generate_scene, tile_constraint_candidates
 
 __all__ = ["run_benchmark", "rows_to_csv", "speedup_summary"]
@@ -91,6 +92,12 @@ def _scene_for_size(size, seed, num_labels, noise):
     )
 
 
+def _timed_decode(method, scene, sets, config):
+    start = time.perf_counter()
+    _, report = decode(method, scene.graph, scene.potentials, sets, config)
+    return report, 1e3 * (time.perf_counter() - start)
+
+
 def run_benchmark(
     sizes, fractions, seed=0, num_labels=7, noise=BENCH_NOISE, config=None
 ):
@@ -100,53 +107,37 @@ def run_benchmark(
     groups always included (see benchmark_constraint_sets); within a
     size the per-fraction background selections are nested prefixes of
     one seeded shuffle, so `reduced_vars` strictly decreases as the
-    fraction grows.  Wall times cover the full call including
-    constraint reduction.  The default noise level sits where the
-    unconstrained solver converges under its iteration cap at every
-    size while still leaving slow conflicted rows for constraints to
-    absorb.
+    fraction grows.  qp does not depend on the fraction: it is solved
+    once per size, and the qp rows of one size share that solve, its
+    `wall_ms` too.  Wall times cover the full call including constraint
+    reduction.  The default noise level sits where the unconstrained
+    solver converges under its iteration cap at every size while still
+    leaving slow conflicted rows for constraints to absorb.
     """
     config = config or SolverConfig()
     rows = []
     for size_index, size in enumerate(sizes):
         scene = _scene_for_size(size, seed + size_index, num_labels, noise)
         n, k = scene.num_nodes, scene.num_labels
+        qp = _timed_decode("qp", scene, None, config)
         for fraction in fractions:
-            start = time.perf_counter()
-            _, report = solve(scene.graph, scene.potentials, config)
-            qp_ms = 1e3 * (time.perf_counter() - start)
-            rows.append(
-                BenchmarkRow(
-                    nodes=n,
-                    labels=k,
-                    constraint_fraction=fraction,
-                    reduced_vars=n * k,
-                    iterations=report.iterations,
-                    wall_ms=qp_ms,
-                    objective=report.final_objective,
-                    solver="qp",
-                )
-            )
-
             sets = benchmark_constraint_sets(scene, fraction, seed + size_index)
             supernodes = n - sum(len(s) - 1 for s in sets)
-            start = time.perf_counter()
-            _, _, report = solve_constrained(
-                scene.graph, scene.potentials, sets, config
-            )
-            cqp_ms = 1e3 * (time.perf_counter() - start)
-            rows.append(
-                BenchmarkRow(
-                    nodes=n,
-                    labels=k,
-                    constraint_fraction=fraction,
-                    reduced_vars=supernodes * k,
-                    iterations=report.iterations,
-                    wall_ms=cqp_ms,
-                    objective=report.final_objective,
-                    solver="cqp",
+            cqp = _timed_decode("cqp", scene, sets, config)
+            runs = (("qp", n, qp), ("cqp", supernodes, cqp))
+            for solver, reduced_nodes, (report, wall_ms) in runs:
+                rows.append(
+                    BenchmarkRow(
+                        nodes=n,
+                        labels=k,
+                        constraint_fraction=fraction,
+                        reduced_vars=reduced_nodes * k,
+                        iterations=report.iterations,
+                        wall_ms=wall_ms,
+                        objective=report.final_objective,
+                        solver=solver,
+                    )
                 )
-            )
     return rows
 
 

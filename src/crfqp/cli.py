@@ -15,13 +15,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import brute_force_map, lbp_map
+# lbp_map, solve and solve_constrained go unused (decoders run through
+# `decode`), but perfbench/spans.py patches them on this module.
+from .baselines import lbp_map  # noqa: F401
 from .bench import BENCH_NOISE, rows_to_csv, run_benchmark, speedup_summary
 from .cloud import CloudParams, build_constraint_sets
-from .core import extract_labeling, objective_of_labeling
+from .core import objective_of_labeling
+from .evaluate import DECODERS, decode
 from .metrics import compute_metrics
 from .problem_io import ProblemFile, load_problem, save_problem
-from .solver import SolverConfig, SolverFailure, solve, solve_constrained
+from .solver import SolverConfig, SolverFailure, solve, solve_constrained  # noqa: F401
 from .synthetic import generate_scene
 
 __all__ = ["main", "build_parser"]
@@ -39,7 +42,7 @@ def build_parser():
     p_solve.add_argument("problem", help="problem file (JSON)")
     p_solve.add_argument(
         "--solver",
-        choices=("qp", "cqp", "lbp", "brute"),
+        choices=tuple(DECODERS),
         default="cqp",
         help="decoder to run (default: cqp)",
     )
@@ -134,22 +137,9 @@ def _cmd_solve(args):
         max_iterations=args.max_iters, tol=args.tol, init=args.init
     )
     start = time.perf_counter()
-    iterations = 0
-    converged = True
-    if args.solver == "qp":
-        marginals, report = solve(problem.graph, problem.potentials, config)
-        labeling = extract_labeling(marginals)
-        iterations, converged = report.iterations, report.converged
-    elif args.solver == "cqp":
-        _, labeling, report = solve_constrained(
-            problem.graph, problem.potentials, problem.constraint_sets, config
-        )
-        iterations, converged = report.iterations, report.converged
-    elif args.solver == "lbp":
-        labeling, report = lbp_map(problem.graph, problem.potentials)
-        iterations, converged = report.iterations, report.converged
-    else:
-        labeling, _ = brute_force_map(problem.graph, problem.potentials)
+    labeling, report = decode(
+        args.solver, problem.graph, problem.potentials, problem.constraint_sets, config
+    )
     wall = time.perf_counter() - start
 
     satisfied = all(
@@ -161,8 +151,8 @@ def _cmd_solve(args):
     _write_labeling(out_path, labeling)
     report_doc = {
         "solver": args.solver,
-        "iterations": iterations,
-        "converged": converged,
+        "iterations": 0 if report is None else report.iterations,
+        "converged": True if report is None else report.converged,
         "objective": objective_of_labeling(
             problem.graph, problem.potentials, labeling
         ),

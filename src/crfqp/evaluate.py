@@ -1,4 +1,5 @@
-"""Method comparison harness for planted scenes.
+"""Method comparison harness for planted scenes, and the decoder
+registry that it, the CLI and the runtime benchmark share.
 
 Runs the standard four decoders (unary argmax, loopy max-sum, the
 relaxed QP, and the constrained QP fed by cloud-derived constraint
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import lbp_map
+from .baselines import brute_force_map, lbp_map
 from .cloud import CloudParams, build_constraint_sets
 from .core import extract_labeling, objective_of_labeling
 from .metrics import MetricsReport, compute_metrics
@@ -20,6 +21,30 @@ from .solver import SolverConfig, solve, solve_constrained
 __all__ = ["evaluate_scene", "summarize_reports"]
 
 METHODS = ("unary", "lbp", "qp", "cqp")
+
+
+def _qp(graph, potentials, sets, config):
+    marginals, report = solve(graph, potentials, config)
+    return extract_labeling(marginals), report
+
+
+# (graph, potentials, sets, config) -> (labeling, report).  Entries look
+# their solver up here when called, so the benchmark's taps see each call.
+DECODERS = {
+    "unary": lambda g, p, s, c: (np.argmax(p.unary, axis=1), None),
+    "lbp": lambda g, p, s, c: lbp_map(g, p),
+    "qp": _qp,
+    "cqp": lambda g, p, s, c: solve_constrained(g, p, s, c)[1:],
+    "brute": lambda g, p, s, c: (brute_force_map(g, p)[0], None),
+}
+
+
+def decode(method, graph, potentials, constraint_sets, config):
+    """Run decoder `method` (only cqp reads `constraint_sets`); returns
+    (labeling, report), report None for unary and brute."""
+    if method not in DECODERS:
+        raise ValueError(f"unknown method {method!r}")
+    return DECODERS[method](graph, potentials, constraint_sets, config)
 
 
 @dataclass(frozen=True)
@@ -32,17 +57,6 @@ class MethodResult:
     iterations: int
 
 
-def _score(scene, method, labeling, wall, iterations):
-    return MethodResult(
-        method=method,
-        labeling=labeling,
-        metrics=compute_metrics(scene.true_labels, labeling, scene.num_labels),
-        objective=objective_of_labeling(scene.graph, scene.potentials, labeling),
-        wall_time=wall,
-        iterations=iterations,
-    )
-
-
 def evaluate_scene(scene, methods=METHODS, solver_config=None, constraint_sets=None):
     """Run the requested methods on one scene.
 
@@ -51,32 +65,23 @@ def evaluate_scene(scene, methods=METHODS, solver_config=None, constraint_sets=N
     Returns {method: MethodResult}.
     """
     config = solver_config or SolverConfig()
+    sets = constraint_sets
     results = {}
     for method in methods:
         start = time.perf_counter()
-        if method == "unary":
-            labeling = np.argmax(scene.potentials.unary, axis=1)
-            iterations = 0
-        elif method == "lbp":
-            labeling, report = lbp_map(scene.graph, scene.potentials)
-            iterations = report.iterations
-        elif method == "qp":
-            marginals, report = solve(scene.graph, scene.potentials, config)
-            labeling = extract_labeling(marginals)
-            iterations = report.iterations
-        elif method == "cqp":
-            sets = constraint_sets
-            if sets is None:
-                params = CloudParams(rng_seed=scene.seed)
-                sets = build_constraint_sets(scene.cloud, params, scene.projection)
-            _, labeling, report = solve_constrained(
-                scene.graph, scene.potentials, sets, config
-            )
-            iterations = report.iterations
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        if sets is None and method == "cqp":
+            params = CloudParams(rng_seed=scene.seed)
+            sets = build_constraint_sets(scene.cloud, params, scene.projection)
+        labeling, report = decode(method, scene.graph, scene.potentials, sets, config)
         wall = time.perf_counter() - start
-        results[method] = _score(scene, method, labeling, wall, iterations)
+        results[method] = MethodResult(
+            method=method,
+            labeling=labeling,
+            metrics=compute_metrics(scene.true_labels, labeling, scene.num_labels),
+            objective=objective_of_labeling(scene.graph, scene.potentials, labeling),
+            wall_time=wall,
+            iterations=0 if report is None else report.iterations,
+        )
     return results
 
 

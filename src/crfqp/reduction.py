@@ -41,6 +41,8 @@ class ConstraintSets:
                 raise ValueError(f"constraint set {members} has fewer than 2 nodes")
             if len(set(members)) != len(members):
                 raise ValueError(f"constraint set {members} has duplicate nodes")
+            if members[0] < 0:
+                raise ValueError(f"constraint set {members} has a negative node index")
             overlap = seen.intersection(members)
             if overlap:
                 raise ValueError(f"constraint sets overlap on nodes {sorted(overlap)}")

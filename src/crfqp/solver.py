@@ -15,7 +15,6 @@ original units.  All nodes update synchronously from the previous
 iterate.
 """
 
-import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -57,7 +56,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.tol <= 0:
+        if not self.tol > 0:  # NaN fails this test
             raise ValueError("tol must be positive")
         if self.init not in ("uniform", "unary_softmax"):
             raise ValueError(f"unknown init strategy {self.init!r}")
@@ -69,7 +68,6 @@ class SolveReport:
     final_objective: float
     objective_trace: list = field(repr=False)
     converged: bool
-    wall_time: float
 
 
 @dataclass(frozen=True)
@@ -363,7 +361,6 @@ def solve(graph, potentials, config=None, callback=None):
     if config is None:
         config = SolverConfig()
     _check_dims(graph, potentials)
-    t0 = time.perf_counter()
     terms = _decoder_terms(potentials)
     offset = terms.offsets.objective_offset(graph)
     matvec = _quadratic_operator(graph, terms)
@@ -401,7 +398,6 @@ def solve(graph, potentials, config=None, callback=None):
         final_objective=trace[-1],
         objective_trace=trace,
         converged=converged,
-        wall_time=time.perf_counter() - t0,
     )
     return mu, report
 

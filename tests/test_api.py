@@ -1,11 +1,14 @@
 """The public surface: which names `crfqp` exports, where each one is
-defined, and that the benchmark's patch points still resolve."""
+defined, and that the benchmark's patch points still resolve and see
+every decoder call."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
 import crfqp
+import crfqp.cli as cli
+from crfqp import SolverConfig, evaluate_scene, generate_scene
 
 # Module -> the public names its `__all__` declares.
 PUBLIC = {
@@ -60,12 +63,42 @@ def test_each_public_name_is_defined_where_it_is_declared():
             assert getattr(crfqp, name) is obj
 
 
-def test_benchmark_patch_points_resolve():
+def _load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_patch_points_resolve():
+    spans = _load_spans()
     points = [p[:2] for p in spans.TRACE_POINTS] + [p[:2] for p in spans.Tap.POINTS]
     assert points
     for module_name, attr in points:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_each_decoder_call_passes_one_benchmark_tap(tmp_path):
+    # The benchmark's checks take exactly one tapped call per key from a
+    # request (`_only` in perfbench/workloads.py).
+    problem = tmp_path / "p.json"
+    synth = ["synth", "--width", "12", "--height", "10", "--objects", "2"]
+    assert cli.main(synth + ["--labels", "4", "--seed", "3", "--out", str(problem)]) == 0
+    scene = generate_scene(width=12, height=10, num_objects=2, num_labels=4, seed=3)
+    tap = _load_spans().Tap()
+    tap.install()
+    try:
+        for solver in ("qp", "cqp", "lbp"):
+            labels = str(tmp_path / f"{solver}.labels")
+            argv = ["solve", str(problem), "--solver", solver, "--output", labels]
+            assert cli.main(argv + ["--max-iters", "20"]) == 0
+        from_cli = tap.take()
+        evaluate_scene(scene, solver_config=SolverConfig(max_iterations=20))
+        from_scene = tap.take()
+    finally:
+        tap.uninstall()
+    counts = {key: len(calls) for key, calls in from_cli.items()}
+    assert counts == {"qp": 1, "cqp": 1, "lbp": 1, "reduce": 1}
+    counts = {key: len(calls) for key, calls in from_scene.items()}
+    assert counts == {"qp": 1, "cqp": 1, "lbp": 1, "sets": 1, "reduce": 1}

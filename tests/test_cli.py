@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import crfqp.cli as cli
+import crfqp.evaluate as evaluate
 from crfqp import (
     ConstraintSets,
     CrfGraph,
@@ -130,6 +131,11 @@ def test_solve_brute_matches_enumeration(tmp_path):
     problem = load_problem(path)
     want, _ = enumerate_map(problem.graph, problem.potentials)
     assert read_labels(out) == want.tolist()
+    out = tmp_path / "unary.labels"
+    assert cli.main(["solve", str(path), "--solver", "unary", "--output", str(out)]) == 0
+    assert read_labels(out) == np.argmax(problem.potentials.unary, axis=1).tolist()
+    report = json.loads((tmp_path / "unary.labels.report.json").read_text())
+    assert (report["iterations"], report["converged"]) == (0, True)
 
 
 def test_noise_free_scene_is_recovered_exactly(tmp_path):
@@ -204,6 +210,17 @@ def test_input_errors_exit_2(tmp_path, capsys):
             capsys.readouterr()
             assert cli.main(["solve", str(boolean)]) == 2
             assert f"expected numbers, got {kind}" in capsys.readouterr().err
+    doc = json.loads(synth(tmp_path).read_text())
+    doc["constraints"] = [[-1, 0]]
+    boolean.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["solve", str(boolean), "--solver", "cqp"]) == 2
+    assert (
+        "problem file field 'constraints': constraint set (-1, 0) has a negative"
+        in capsys.readouterr().err
+    )
+    assert cli.main(["solve", str(synth(tmp_path)), "--tol", "nan"]) == 2
+    assert "tol must be positive" in capsys.readouterr().err
     for node, key, value, message in (
         (0, "centroid", [True, False], "expected numbers, got a boolean"),
         (0, "mean_color", [0.5], "'features[0].mean_color': expected shape (3,)"),
@@ -227,7 +244,8 @@ def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise SolverFailure("objective decreased")
 
-    monkeypatch.setattr(cli, "solve", explode)
+    # the decoder registry calls the `solve` of crfqp.evaluate
+    monkeypatch.setattr(evaluate, "solve", explode)
     rc = cli.main(["solve", str(problem_path), "--solver", "qp"])
     assert rc == 3
     assert "solver error: objective decreased" in capsys.readouterr().err

@@ -212,3 +212,8 @@ def test_projection_validation():
     cloud = np.zeros((4, 3))
     with pytest.raises(ValueError, match="covers 3 points, cloud has 4"):
         build_constraint_sets(cloud, CloudParams(), proj)
+    # only -1 marks a point outside the graph; -2 is not a node
+    rng = np.random.default_rng(37)
+    cloud, projection = scene_fixture(rng, [((2.0, 2.0, 2.0), 200, [-2, 4])])
+    with pytest.raises(ValueError, match="negative node index"):
+        build_constraint_sets(cloud, CloudParams(), projection)

@@ -54,6 +54,9 @@ def test_constraint_sets_validation():
         ConstraintSets([(3,)])
     with pytest.raises(ValueError, match="duplicate"):
         ConstraintSets([(2, 2)])
+    # a negative index would wrap around to a node counted from the end
+    with pytest.raises(ValueError, match=r"set \(-1, 0\) has a negative node index"):
+        ConstraintSets([(0, -1)])
     sets = ConstraintSets([(5, 1)])
     assert sets.sets == ((1, 5),)  # members are stored sorted
     with pytest.raises(ValueError, match="exceeds node count"):

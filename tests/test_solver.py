@@ -395,8 +395,9 @@ def test_unary_softmax_init_agrees_on_easy_instance():
 def test_solver_config_validation():
     with pytest.raises(ValueError, match="max_iterations"):
         SolverConfig(max_iterations=0)
-    with pytest.raises(ValueError, match="tol"):
-        SolverConfig(tol=0.0)
+    for tol in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="tol"):
+            SolverConfig(tol=tol)
     with pytest.raises(ValueError, match="init"):
         SolverConfig(init="zeros")
     with pytest.raises(TypeError):

@@ -151,6 +151,8 @@ def test_evaluate_scene_runs_all_methods():
         assert res.wall_time >= 0.0
         assert 0.0 <= res.metrics.macro_f1 <= 1.0
     assert results["unary"].iterations == 0
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        evaluate_scene(scene, methods=("bogus",))
     # constrained nodes obey every set
     cqp = results["cqp"].labeling
     for members in sets:
