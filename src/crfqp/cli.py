@@ -46,8 +46,18 @@ def build_parser():
         default="cqp",
         help="decoder to run (default: cqp)",
     )
-    p_solve.add_argument("--max-iters", type=int, default=1000)
-    p_solve.add_argument("--tol", type=float, default=1e-6)
+    p_solve.add_argument(
+        "--max-iters",
+        type=int,
+        default=1000,
+        help="iteration cap for qp/cqp; lbp ignores it and stops after 200",
+    )
+    p_solve.add_argument(
+        "--tol",
+        type=float,
+        default=1e-6,
+        help="max-change tolerance for qp/cqp; lbp ignores it and uses 1e-6",
+    )
     p_solve.add_argument(
         "--init",
         choices=("uniform", "unary_softmax"),

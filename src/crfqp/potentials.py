@@ -16,12 +16,31 @@ from scipy.spatial import cKDTree
 __all__ = ["bhattacharyya_distance"]
 
 
+def _first_bad_row(centroids, mean_colors, histograms):
+    """The first node whose row breaks a `NodeFeatures` bound, and its
+    first fault in column order."""
+    in_unit = (mean_colors >= 0.0) & (mean_colors <= 1.0)
+    messages, masks = zip(
+        ("centroid must be finite", ~np.isfinite(centroids).all(axis=1)),
+        ("mean color must lie in [0, 1]", ~in_unit.all(axis=1)),
+        ("histogram must be finite", ~np.isfinite(histograms).all(axis=1)),
+        (
+            "histogram must be nonnegative and not all zero",
+            (histograms < 0).any(axis=1) | (histograms.sum(axis=1) <= 0),
+        ),
+    )
+    faults = np.stack(masks)
+    node = np.flatnonzero(faults.any(axis=0))[0]
+    return node, messages[np.argmax(faults[:, node])]
+
+
 @dataclass(frozen=True)
 class NodeFeatures:
     """Per-node descriptors as one table of read-only float64 copies:
-    `centroids` (N, 2), `mean_colors` (N, 3) in [0, 1]^3 and
-    `histograms` (N, B), each row nonnegative and not all zero.  Row i
-    describes node i; N and B are at least 1."""
+    finite `centroids` (N, 2), `mean_colors` (N, 3) in [0, 1]^3 and
+    finite `histograms` (N, B), each row nonnegative and not all zero.
+    Row i describes node i; N and B are at least 1.  A row that breaks
+    these is reported as `features[i]: ...`, first bad row first."""
 
     centroids: np.ndarray
     mean_colors: np.ndarray
@@ -48,12 +67,19 @@ class NodeFeatures:
                 "features[0]: histogram must be a non-empty 1-D array, "
                 f"got shape {histograms.shape[1:]}"
             )
-        negative = (histograms < 0).any(axis=1)
-        bad = np.flatnonzero(negative | (histograms.sum(axis=1) <= 0))
-        if bad.size:
-            raise ValueError(
-                f"features[{bad[0]}]: histogram must be nonnegative and not all zero"
-            )
+        # min and max propagate NaN, so these scalars settle every bound
+        # without a per-entry mask; only a failing table is searched row
+        # by row for the node to name
+        ends = (centroids.min(), centroids.max(), histograms.max())
+        if not (
+            np.isfinite(ends).all()
+            and 0.0 <= mean_colors.min()
+            and mean_colors.max() <= 1.0
+            and histograms.min() >= 0.0
+            and (histograms.sum(axis=1) > 0.0).all()
+        ):
+            node, message = _first_bad_row(centroids, mean_colors, histograms)
+            raise ValueError(f"features[{node}]: {message}")
         for column in (centroids, mean_colors, histograms):
             column.flags.writeable = False
         object.__setattr__(self, "centroids", centroids)

@@ -9,7 +9,7 @@ matrices, so parse -> serialize -> parse is the identity on structures.
 
 import json
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -78,24 +78,56 @@ def _feature_table(columns):
         _fail("features", str(exc))
 
 
-def problem_from_dict(doc):
-    if not isinstance(doc, dict):
-        raise ValueError("problem file must be a JSON object")
-    version = _require(doc, "version", int)
-    if version != SCHEMA_VERSION:
-        _fail("version", f"unsupported version {version}, expected {SCHEMA_VERSION}")
-    num_labels = _require(doc, "num_labels", int)
-    num_nodes = _require(doc, "num_nodes", int)
-    if num_labels < 2:
-        _fail("num_labels", "must be at least 2")
-    if num_nodes < 1:
-        _fail("num_nodes", "must be at least 1")
+def _edges_at_once(edge_docs, num_labels, num_nodes):
+    """Pairs and (E, K, K) matrices of an edge list checked as whole
+    lists, or None when some entry fails or falls outside the common
+    form (a dict holding int `i` and `j` and a `psi` of int and float
+    scalars or a number `dis`)."""
+    if not all(map(isinstance, edge_docs, repeat(dict))):
+        return None
+    has_psi = ["psi" in entry for entry in edge_docs]
+    if has_psi != ["dis" not in entry for entry in edge_docs]:
+        return None
+    ends = [(entry.get("i"), entry.get("j")) for entry in edge_docs]
+    if not set(map(type, chain.from_iterable(ends))) <= {int}:
+        return None
+    try:
+        pairs = np.fromiter(chain.from_iterable(ends), np.int64, 2 * len(ends))
+    except OverflowError:
+        return None
+    pairs = pairs.reshape(-1, 2)
+    i, j = pairs.T
+    if not np.all((0 <= i) & (i < j) & (j < num_nodes)):
+        return None
+    pairwise = np.empty((len(edge_docs), num_labels, num_labels))
+    psis = [entry["psi"] for entry in compress(edge_docs, has_psi)]
+    if psis:
+        try:
+            blocks = np.asarray(psis, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            return None
+        if blocks.shape != (len(psis), num_labels, num_labels):
+            return None
+        scalars = chain.from_iterable(chain.from_iterable(psis))
+        if not set(map(type, scalars)) <= _NUMBER_TYPES:
+            return None
+        pairwise[has_psi] = blocks
+    dis = [entry["dis"] for entry in edge_docs if "dis" in entry]
+    if dis:
+        if not set(map(type, dis)) <= _NUMBER_TYPES:
+            return None
+        try:
+            pairwise[np.logical_not(has_psi)] = pairwise_potential(
+                np.array(dis, dtype=np.float64), num_labels
+            )
+        except (ValueError, OverflowError):
+            return None
+    return pairs, pairwise
 
-    unary = _as_float_array(
-        _require(doc, "unary", list), "unary", (num_nodes, num_labels)
-    )
 
-    edge_docs = _require(doc, "edges", list)
+def _edges_one_by_one(edge_docs, num_labels, num_nodes):
+    """The same result edge by edge: raises on the first bad edge, with
+    a message that names it and the field at fault."""
     edges = []
     pairwise = np.zeros((len(edge_docs), num_labels, num_labels))
     for idx, entry in enumerate(edge_docs):
@@ -122,6 +154,31 @@ def problem_from_dict(doc):
                 _fail(f"{where}.dis", "must be a number")
             pairwise[idx] = pairwise_potential(float(dis), num_labels)
         edges.append((i, j))
+    return edges, pairwise
+
+
+def problem_from_dict(doc):
+    if not isinstance(doc, dict):
+        raise ValueError("problem file must be a JSON object")
+    version = _require(doc, "version", int)
+    if version != SCHEMA_VERSION:
+        _fail("version", f"unsupported version {version}, expected {SCHEMA_VERSION}")
+    num_labels = _require(doc, "num_labels", int)
+    num_nodes = _require(doc, "num_nodes", int)
+    if num_labels < 2:
+        _fail("num_labels", "must be at least 2")
+    if num_nodes < 1:
+        _fail("num_nodes", "must be at least 1")
+
+    unary = _as_float_array(
+        _require(doc, "unary", list), "unary", (num_nodes, num_labels)
+    )
+
+    edge_docs = _require(doc, "edges", list)
+    # The whole-list checks pass on every well-formed list that json
+    # parses; otherwise the edge-by-edge loop finds the first bad edge.
+    parsed = _edges_at_once(edge_docs, num_labels, num_nodes)
+    edges, pairwise = parsed or _edges_one_by_one(edge_docs, num_labels, num_nodes)
 
     constraints = doc.get("constraints", [])
     if not isinstance(constraints, list):
@@ -163,25 +220,6 @@ def problem_from_dict(doc):
     return ProblemFile(graph, potentials, constraint_sets, features)
 
 
-def problem_to_dict(problem):
-    doc = {
-        "version": SCHEMA_VERSION,
-        "num_labels": problem.graph.num_labels,
-        "num_nodes": problem.graph.num_nodes,
-        "unary": problem.potentials.unary.tolist(),
-        "edges": [
-            {"i": i, "j": j, "psi": problem.potentials.pairwise[e].tolist()}
-            for e, (i, j) in enumerate(problem.graph.edges.tolist())
-        ],
-        "constraints": [list(group) for group in problem.constraint_sets.sets],
-    }
-    if problem.features is not None:
-        f = problem.features
-        rows = zip(f.centroids.tolist(), f.mean_colors.tolist(), f.histograms.tolist())
-        doc["features"] = [dict(zip(_FEATURE_KEYS, row)) for row in rows]
-    return doc
-
-
 def load_problem(path):
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -190,15 +228,75 @@ def load_problem(path):
             raise ValueError(
                 f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
             ) from exc
+        except RecursionError as exc:
+            raise ValueError(f"{path}: JSON nested too deeply") from exc
     return problem_from_dict(doc)
 
 
+def _template(shape, depth, scalar="%r"):
+    """%-template of a nested list of `shape` in the layout of
+    json.dumps(indent=1), for a list whose opening bracket sits at
+    nesting `depth`; each scalar is formatted by `scalar`."""
+    if not shape:
+        return scalar
+    if shape[0] == 0:
+        return "[]"
+    item = " " * (depth + 1) + _template(shape[1:], depth + 1, scalar)
+    return "[\n" + ",\n".join([item] * shape[0]) + "\n" + " " * depth + "]"
+
+
+def _write_list(handle, key, items):
+    """Write the top-level member `"key": [...]` from its formatted
+    items, one write per item."""
+    items = iter(items)
+    first = next(items, None)
+    if first is None:
+        handle.write(f',\n "{key}": []')
+        return
+    handle.write(f',\n "{key}": [\n  ' + first)
+    for item in items:
+        handle.write(",\n  " + item)
+    handle.write("\n ]")
+
+
 def save_problem(problem, path):
-    # The bytes of json.dump, written in batches of encoder chunks: one
-    # write per chunk is slow, and one join of them all holds every chunk
-    # in memory at once.
-    chunks = json.JSONEncoder(indent=1).iterencode(problem_to_dict(problem))
+    """Write `problem` with the bytes of json.dump(..., indent=1) plus a
+    closing newline: edges are written with explicit matrices, and
+    version, num_labels, num_nodes, unary, edges, constraints and
+    features (when present) appear in that order.
+
+    `%r` formats a float as `float.__repr__`, which is how json spells a
+    finite float (potentials and features are always finite), and `%d`
+    an int as json does.  Each edge and feature row is its own write, so
+    no string holds the whole document."""
+    graph, potentials = problem.graph, problem.potentials
+    n, k = graph.num_nodes, graph.num_labels
+    head = (
+        '{\n "version": %d,\n "num_labels": %d,\n "num_nodes": %d,\n "unary": '
+        + _template((n, k), 1)
+    )
+    edge = '{\n   "i": %d,\n   "j": %d,\n   "psi": ' + _template((k, k), 3) + "\n  }"
+    edges = graph.edges.tolist()
+    blocks = potentials.pairwise.reshape(len(edges), k * k).tolist()
     with open(path, "w", encoding="utf-8") as handle:
-        while batch := "".join(islice(chunks, 8192)):
-            handle.write(batch)
-        handle.write("\n")
+        unary = potentials.unary.ravel().tolist()
+        handle.write(head % (SCHEMA_VERSION, k, n, *unary))
+        _write_list(
+            handle, "edges", (edge % (i, j, *b) for (i, j), b in zip(edges, blocks))
+        )
+        _write_list(
+            handle,
+            "constraints",
+            (_template((len(g),), 2, "%d") % g for g in problem.constraint_sets.sets),
+        )
+        if problem.features is not None:
+            f = problem.features
+            columns = (f.centroids, f.mean_colors, f.histograms)
+            fields = (
+                f'"{key}": ' + _template(column.shape[1:], 3)
+                for key, column in zip(_FEATURE_KEYS, columns)
+            )
+            row = "{\n   " + ",\n   ".join(fields) + "\n  }"
+            table = np.hstack(columns).tolist()
+            _write_list(handle, "features", (row % tuple(v) for v in table))
+        handle.write("\n}\n")

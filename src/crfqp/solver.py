@@ -170,9 +170,11 @@ def _initial_marginals(unary, strategy):
     n, k = unary.shape
     if strategy == "uniform":
         # Tiny deterministic perturbation: exact uniform rows are a fixed
-        # point on symmetric instances.
-        flat = np.arange(n * k, dtype=np.float64)
-        mu = 1.0 / k + 1e-6 * (np.remainder(flat, 7.0) / 7.0).reshape(n, k)
+        # point on symmetric instances.  Entry m of the flattened start is
+        # 1/k + 1e-6 * (m % 7) / 7, tiled from one period.
+        period = 1e-6 * (np.arange(7.0) / 7.0)
+        mu = np.tile(period, -(-n * k // 7))[: n * k].reshape(n, k)
+        mu += 1.0 / k
     else:
         z = unary - unary.max(axis=1, keepdims=True)
         mu = np.exp(z)

@@ -6,6 +6,7 @@ compare the implementation against itself.
 """
 
 import itertools
+import json
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -333,3 +334,32 @@ def same_problem(a, b):
         and len(mine) == len(theirs)
         and all(np.array_equal(x, y) for x, y in zip(mine, theirs))
     )
+
+
+def problem_to_dict(problem):
+    """A problem file's document as nested lists and dicts, edges with
+    explicit matrices.  `saved_bytes` turns it into the bytes
+    `save_problem` must write."""
+    doc = {
+        "version": 1,
+        "num_labels": problem.graph.num_labels,
+        "num_nodes": problem.graph.num_nodes,
+        "unary": problem.potentials.unary.tolist(),
+        "edges": [
+            {"i": i, "j": j, "psi": problem.potentials.pairwise[e].tolist()}
+            for e, (i, j) in enumerate(problem.graph.edges.tolist())
+        ],
+        "constraints": [list(group) for group in problem.constraint_sets.sets],
+    }
+    if problem.features is not None:
+        f = problem.features
+        rows = zip(f.centroids.tolist(), f.mean_colors.tolist(), f.histograms.tolist())
+        keys = ("centroid", "mean_color", "color_histogram")
+        doc["features"] = [dict(zip(keys, row)) for row in rows]
+    return doc
+
+
+def saved_bytes(problem):
+    """The problem file `json.dump(problem_to_dict(problem), indent=1)`
+    writes, newline terminated, as bytes."""
+    return (json.dumps(problem_to_dict(problem), indent=1) + "\n").encode("utf-8")

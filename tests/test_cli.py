@@ -228,6 +228,10 @@ def test_input_errors_exit_2(tmp_path, capsys):
         (1, "color_histogram", [1.0], "'features[1].color_histogram': expected"),
         (2, "color_histogram", [-1.0] + [0.5] * 7, "features[2]: histogram must be"),
         (2, "color_histogram", [0.0] * 8, "features[2]: histogram must be"),
+        # json writes these as NaN and Infinity, which json reads back
+        (1, "centroid", [float("nan"), 0.5], "features[1]: centroid must be finite"),
+        (3, "mean_color", [5.0, -2.0, 0.1], "features[3]: mean color must lie in"),
+        (0, "color_histogram", [float("inf")] + [0.5] * 7, "histogram must be finite"),
     ):
         doc = json.loads(synth(tmp_path).read_text())
         doc["features"][node][key] = value
@@ -235,6 +239,12 @@ def test_input_errors_exit_2(tmp_path, capsys):
         capsys.readouterr()
         assert cli.main(["solve", str(boolean)]) == 2
         assert message in capsys.readouterr().err
+    # nesting beyond what the parser can recurse into
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"version": 1, "unary": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    capsys.readouterr()
+    assert cli.main(["solve", str(deep)]) == 2
+    assert f"{deep}: JSON nested too deeply" in capsys.readouterr().err
 
 
 def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):

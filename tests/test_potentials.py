@@ -257,6 +257,34 @@ def test_feature_validation():
         with pytest.raises(ValueError, match=message):
             NodeFeatures(centroids, colors, bad)
 
+    # every column must be finite and mean colours lie in [0, 1]; the
+    # first bad node is named, with its first fault in column order
+    nan, inf = float("nan"), float("inf")
+    above_one = float(np.nextafter(1.0, 2.0))
+    color_fault = r"mean color must lie in \[0, 1\]"
+    good = (centroids, colors, hists)
+    for column, rows, node, fault in (
+        (0, [(0.0, 0.0), (nan, 0.0), (2.0, inf)], 1, "centroid must be finite"),
+        (1, [(0.1, 0.2, 0.3)] * 2 + [(5.0, -2.0, 0.1)], 2, color_fault),
+        (1, [(0.1, nan, 0.3)] + colors[1:], 0, color_fault),
+        (1, colors[:2] + [(0.1, 0.2, above_one)], 2, color_fault),
+        (2, [(0.5, 0.5), (inf, 0.5), (0.5, 0.5)], 1, "histogram must be finite"),
+        (2, [(0.5, 0.5), (0.5, 0.5), (nan, 0.5)], 2, "histogram must be finite"),
+    ):
+        table = list(good)
+        table[column] = rows
+        with pytest.raises(ValueError, match=rf"^features\[{node}\]: {fault}$"):
+            NodeFeatures(*table)
+    # node 1's centroid is reported before its colour and node 2's histogram
+    cents = [(0.0, 0.0), (inf, 0.0), (2.0, 0.0)]
+    cols = [(0.1, 0.2, 0.3), (2.0, 0.2, 0.3), (0.1, 0.2, 0.3)]
+    with pytest.raises(ValueError, match=r"^features\[1\]: centroid must be finite$"):
+        NodeFeatures(cents, cols, [(0.5, 0.5), (0.5, 0.5), (-1.0, 0.5)])
+    with pytest.raises(ValueError, match=r"^features\[1\]: mean color must lie"):
+        NodeFeatures(centroids, cols, [(0.5, 0.5), (0.5, 0.5), (-1.0, 0.5)])
+    # the ends of [0, 1] are mean colours too
+    NodeFeatures(centroids, [(0.0, 1.0, 0.5)] * 3, hists)
+
     # the table holds read-only float64 copies of its inputs
     given = [np.array(centroids), np.array(colors), np.array(hists)]
     feats = NodeFeatures(*given)

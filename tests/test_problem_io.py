@@ -1,15 +1,26 @@
 """JSON problem documents: parsing, canonical serialization, validation."""
 
 import copy
+import hashlib
+import importlib.util
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from crfqp import load_problem, save_problem
-from crfqp.potentials import pairwise_potential
-from crfqp.problem_io import problem_from_dict, problem_to_dict
-from helpers import same_problem
+from crfqp import ConstraintSets, CrfGraph, Potentials, cli, load_problem, save_problem
+from crfqp.potentials import NodeFeatures, pairwise_potential
+from crfqp.problem_io import (
+    ProblemFile,
+    _edges_at_once,
+    _edges_one_by_one,
+    problem_from_dict,
+)
+from helpers import problem_to_dict, same_problem, saved_bytes
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def tiny_doc():
@@ -190,6 +201,21 @@ def bad_cases():
             variant(lambda d: d["features"][0].update(color_histogram=[])),
             r"features\[0\]: histogram must be a non-empty 1-D array, got shape \(0,\)",
         ),
+        # features are finite, and mean colours lie in [0, 1]
+        (
+            variant(lambda d: d["features"][1].update(centroid=[float("nan"), 0.0])),
+            r"'features': features\[1\]: centroid must be finite",
+        ),
+        (
+            variant(lambda d: d["features"][2].update(mean_color=[5.0, -2.0, 0.1])),
+            r"'features': features\[2\]: mean color must lie in \[0, 1\]",
+        ),
+        (
+            variant(
+                lambda d: d["features"][0].update(color_histogram=[float("inf"), 0.5])
+            ),
+            r"'features': features\[0\]: histogram must be finite",
+        ),
     ]
 
 
@@ -218,3 +244,184 @@ def test_disk_round_trip_and_json_error_location(tmp_path):
     broken.write_text('{\n "version": 1,\n}\n')
     with pytest.raises(ValueError, match=r"line 3 column 1"):
         load_problem(broken)
+
+
+def _digest(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def benchmark_problems(tmp_path_factory):
+    """The problem pool of the benchmark's problem-files workload at
+    seed 0: 400 nodes, K = 5, dense asymmetric blocks."""
+    with pytest.MonkeyPatch.context() as patch:
+        # workloads.py imports its sibling modules by their bare names
+        patch.syspath_prepend(str(WORKLOADS.parent))
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    files = workloads.ProblemFiles(0, str(tmp_path_factory.mktemp("pool")))
+    for index in range(files.inputs):
+        files.build_input(index)
+    return [inp.problem for inp in files.pool]
+
+
+def _assert_saved_as_json_dump(problem, path):
+    save_problem(problem, path)
+    assert _digest(path.read_bytes()) == _digest(saved_bytes(problem))
+    assert same_problem(load_problem(path), problem)
+
+
+def test_saved_bytes_are_json_dump_on_benchmark_problems(tmp_path, benchmark_problems):
+    assert len(benchmark_problems) == 32
+    for problem in benchmark_problems:
+        _assert_saved_as_json_dump(problem, tmp_path / "problem.json")
+
+
+def test_saved_bytes_are_json_dump_on_synth_scenes(tmp_path, capsys):
+    for seed in range(3):
+        path = tmp_path / f"scene-{seed}.json"
+        assert cli.main(["synth", "--seed", str(seed), "--out", str(path)]) == 0
+        problem = load_problem(path)
+        assert problem.features is not None and len(problem.constraint_sets)
+        assert _digest(path.read_bytes()) == _digest(saved_bytes(problem))
+    capsys.readouterr()
+
+
+def test_saved_bytes_are_json_dump_on_edge_cases(tmp_path):
+    values = [-0.0, 5e-324, 1e16, 1e300, 3.0, -2.0, 0.1, 1e-7, 123456789.0]
+
+    def cycle(count):
+        return np.resize(np.array(values), count)
+
+    features = NodeFeatures(
+        [(-0.0, 5e-324), (1e16, 1e300), (3.0, -2.0)],
+        [(0.0, 1.0, 0.1), (-0.0, 5e-324, 1e-7), (0.5, 0.25, 1.0)],
+        [(5e-324,), (1e300,), (3.0,)],
+    )
+    cases = []
+    for k in (2, 3):
+        for edges in ([], [(0, 1), (0, 2), (1, 2)]):
+            for sets in ([], [(0, 2)]):
+                for feats in (None, features):
+                    graph = CrfGraph(3, k, edges)
+                    unary = cycle(3 * k).reshape(3, k)
+                    pairwise = cycle(len(edges) * k * k).reshape(len(edges), k, k)
+                    potentials = Potentials(unary, pairwise)
+                    constraint_sets = ConstraintSets(sets)
+                    cases.append(ProblemFile(graph, potentials, constraint_sets, feats))
+    # one node, no edges, no sets, no features: every list but unary empty
+    single = Potentials([[1.0, -0.0]], np.zeros((0, 2, 2)))
+    cases.append(ProblemFile(CrfGraph(1, 2), single, ConstraintSets(), None))
+    for problem in cases:
+        _assert_saved_as_json_dump(problem, tmp_path / "case.json")
+    assert b'"edges": []' in (tmp_path / "case.json").read_bytes()
+
+
+def test_save_holds_no_whole_document_in_memory(tmp_path, benchmark_problems):
+    problem = benchmark_problems[0]
+    path = tmp_path / "problem.json"
+    save_problem(problem, path)
+    assert path.stat().st_size > 800_000
+    tracemalloc.start()
+    try:
+        save_problem(problem, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # json.dump of the whole document peaks at about 2.2 MiB here
+    assert peak < 1.5 * 2**20
+
+
+def test_whole_list_edge_parse_matches_the_per_edge_loop(benchmark_problems):
+    edge_docs = problem_to_dict(benchmark_problems[0])["edges"]
+    # dis shorthands and integer entries, mixed with explicit matrices
+    edge_docs[3] = {"i": edge_docs[3]["i"], "j": edge_docs[3]["j"], "dis": 1}
+    edge_docs[5] = {"i": edge_docs[5]["i"], "j": edge_docs[5]["j"], "dis": 0.3}
+    edge_docs[7]["psi"][1] = [2, 0, -1, 2**60, 3]
+    fast_edges, fast = _edges_at_once(edge_docs, 5, 400)
+    slow_edges, slow = _edges_one_by_one(edge_docs, 5, 400)
+    assert fast_edges.tolist() == [list(pair) for pair in slow_edges]
+    assert fast.tobytes() == slow.tobytes()
+
+
+def _edge_faults():
+    """Ways an edge at position e of a 2-label chain can be bad, each
+    with the message the loader gives for it."""
+    field = r"problem file field 'edges\[{e}\]"
+    return [
+        (lambda e: "nope", field + r"': must be an object"),
+        (
+            lambda e: {"i": True, "j": e + 1, "dis": 0.5},
+            field + r"': i and j must be integers",
+        ),
+        (lambda e: {"i": e + 1, "j": e, "dis": 0.5}, field + r"': requires 0 <= i < j"),
+        (
+            lambda e: {"i": e, "j": e + 1, "dis": 0.5, "psi": [[1.0, 0.0], [0.0, 1.0]]},
+            field + r"': exactly one of psi or dis",
+        ),
+        (
+            lambda e: {"i": e, "j": e + 1, "psi": [[1.0, True], [0.0, 1.0]]},
+            field + r"\.psi': expected numbers, got a boolean",
+        ),
+        (
+            lambda e: {"i": e, "j": e + 1, "psi": [[1.0, None], [0.0, 1.0]]},
+            field + r"\.psi': expected numbers, got null",
+        ),
+        (
+            lambda e: {"i": e, "j": e + 1, "psi": [[1.0, 0.5]]},
+            field + r"\.psi': expected shape \(2, 2\), got \(1, 2\)",
+        ),
+        (
+            lambda e: {"i": e, "j": e + 1, "psi": [[1.0, [0.5]], [0.0, 1.0]]},
+            field + r"\.psi': not a numeric array",
+        ),
+        (
+            lambda e: {"i": e, "j": e + 1, "dis": "0.5"},
+            field + r"\.dis': must be a number",
+        ),
+        (
+            lambda e: {"i": e, "j": e + 1, "dis": 2.0 + e},
+            r"^dissimilarity must lie in \[0, 1\], got {bad}$",
+        ),
+    ]
+
+
+def _chain_doc(num_nodes):
+    doc = tiny_doc()
+    doc.update(num_nodes=num_nodes, unary=[[0.5, 0.5]] * num_nodes)
+    doc["edges"] = [
+        {"i": e, "j": e + 1, "psi": [[1.0, 0.2], [0.2, 1.0]]} if e % 2 else
+        {"i": e, "j": e + 1, "dis": 0.25}
+        for e in range(num_nodes - 1)
+    ]
+    del doc["features"]
+    return doc
+
+
+def test_first_of_two_faults_is_named():
+    faults = _edge_faults()
+    for first, (make_first, message) in enumerate(faults):
+        for make_second, _ in faults:
+            for a, b in ((1, 4), (4, 6)):
+                doc = _chain_doc(8)
+                doc["edges"][a] = make_first(a)
+                doc["edges"][b] = make_second(b)
+                want = message.format(e=a, bad=2.0 + a)
+                with pytest.raises(ValueError, match=want):
+                    problem_from_dict(doc)
+    # a fault in an earlier field wins over any edge fault, and an edge
+    # fault over later fields and over graph-level faults
+    doc = _chain_doc(8)
+    doc["edges"][5] = {"i": 4, "j": 5, "dis": True}
+    doc["edges"][6] = {"i": 0, "j": 1, "dis": 0.5}
+    doc["constraints"] = [[0, 99]]
+    with pytest.raises(ValueError, match=r"'edges\[5\]\.dis': must be a number"):
+        problem_from_dict(doc)
+    doc["unary"][2] = [0.5, "0.5"]
+    with pytest.raises(ValueError, match=r"'unary': expected numbers, got a string"):
+        problem_from_dict(doc)
+    doc = _chain_doc(8)
+    doc["edges"][6] = {"i": 0, "j": 1, "dis": 0.5}
+    with pytest.raises(ValueError, match=r"invalid: duplicate edge \(0, 1\)"):
+        problem_from_dict(doc)

@@ -1,6 +1,7 @@
 """Floor shift, the closed-form gradient (the sparse operator `solve`
 iterates with), the multiplicative update, and the full solve loops."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -132,6 +133,21 @@ def test_solve_steps_along_compute_gradient():
             expected = iterate(prev, compute_gradient(graph, shifted, prev))
             np.testing.assert_array_equal(got, expected)
             prev = got
+
+
+def test_uniform_start_is_bitwise_the_remainder_formula():
+    def digest(mu):
+        return hashlib.sha256(np.ascontiguousarray(mu).tobytes()).hexdigest()
+
+    for n, k in (
+        (1, 2), (1, 7), (3, 5), (13, 3), (400, 5), (1600, 7), (6400, 7), (5, 1000),
+    ):
+        flat = np.arange(n * k, dtype=np.float64)
+        want = 1.0 / k + 1e-6 * (np.remainder(flat, 7.0) / 7.0).reshape(n, k)
+        want /= want.sum(axis=1, keepdims=True)
+        got = _initial_marginals(np.zeros((n, k)), "uniform")
+        assert got.shape == (n, k) and got.dtype == np.float64
+        assert digest(got) == digest(want), (n, k)
 
 
 def _operator_error(graph, pairwise, mu):
