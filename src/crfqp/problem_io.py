@@ -9,7 +9,7 @@ matrices, so parse -> serialize -> parse is the identity on structures.
 
 import json
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -78,56 +78,24 @@ def _feature_table(columns):
         _fail("features", str(exc))
 
 
-def _edges_at_once(edge_docs, num_labels, num_nodes):
-    """Pairs and (E, K, K) matrices of an edge list checked as whole
-    lists, or None when some entry fails or falls outside the common
-    form (a dict holding int `i` and `j` and a `psi` of int and float
-    scalars or a number `dis`)."""
-    if not all(map(isinstance, edge_docs, repeat(dict))):
-        return None
-    has_psi = ["psi" in entry for entry in edge_docs]
-    if has_psi != ["dis" not in entry for entry in edge_docs]:
-        return None
-    ends = [(entry.get("i"), entry.get("j")) for entry in edge_docs]
-    if not set(map(type, chain.from_iterable(ends))) <= {int}:
-        return None
-    try:
-        pairs = np.fromiter(chain.from_iterable(ends), np.int64, 2 * len(ends))
-    except OverflowError:
-        return None
-    pairs = pairs.reshape(-1, 2)
-    i, j = pairs.T
-    if not np.all((0 <= i) & (i < j) & (j < num_nodes)):
-        return None
-    pairwise = np.empty((len(edge_docs), num_labels, num_labels))
-    psis = [entry["psi"] for entry in compress(edge_docs, has_psi)]
-    if psis:
-        try:
-            blocks = np.asarray(psis, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
-            return None
-        if blocks.shape != (len(psis), num_labels, num_labels):
-            return None
-        scalars = chain.from_iterable(chain.from_iterable(psis))
-        if not set(map(type, scalars)) <= _NUMBER_TYPES:
-            return None
-        pairwise[has_psi] = blocks
-    dis = [entry["dis"] for entry in edge_docs if "dis" in entry]
-    if dis:
-        if not set(map(type, dis)) <= _NUMBER_TYPES:
-            return None
-        try:
-            pairwise[np.logical_not(has_psi)] = pairwise_potential(
-                np.array(dis, dtype=np.float64), num_labels
-            )
-        except (ValueError, OverflowError):
-            return None
-    return pairs, pairwise
+def problem_from_dict(doc):
+    if not isinstance(doc, dict):
+        raise ValueError("problem file must be a JSON object")
+    version = _require(doc, "version", int)
+    if version != SCHEMA_VERSION:
+        _fail("version", f"unsupported version {version}, expected {SCHEMA_VERSION}")
+    num_labels = _require(doc, "num_labels", int)
+    num_nodes = _require(doc, "num_nodes", int)
+    if num_labels < 2:
+        _fail("num_labels", "must be at least 2")
+    if num_nodes < 1:
+        _fail("num_nodes", "must be at least 1")
 
+    unary = _as_float_array(
+        _require(doc, "unary", list), "unary", (num_nodes, num_labels)
+    )
 
-def _edges_one_by_one(edge_docs, num_labels, num_nodes):
-    """The same result edge by edge: raises on the first bad edge, with
-    a message that names it and the field at fault."""
+    edge_docs = _require(doc, "edges", list)
     edges = []
     pairwise = np.zeros((len(edge_docs), num_labels, num_labels))
     for idx, entry in enumerate(edge_docs):
@@ -154,31 +122,6 @@ def _edges_one_by_one(edge_docs, num_labels, num_nodes):
                 _fail(f"{where}.dis", "must be a number")
             pairwise[idx] = pairwise_potential(float(dis), num_labels)
         edges.append((i, j))
-    return edges, pairwise
-
-
-def problem_from_dict(doc):
-    if not isinstance(doc, dict):
-        raise ValueError("problem file must be a JSON object")
-    version = _require(doc, "version", int)
-    if version != SCHEMA_VERSION:
-        _fail("version", f"unsupported version {version}, expected {SCHEMA_VERSION}")
-    num_labels = _require(doc, "num_labels", int)
-    num_nodes = _require(doc, "num_nodes", int)
-    if num_labels < 2:
-        _fail("num_labels", "must be at least 2")
-    if num_nodes < 1:
-        _fail("num_nodes", "must be at least 1")
-
-    unary = _as_float_array(
-        _require(doc, "unary", list), "unary", (num_nodes, num_labels)
-    )
-
-    edge_docs = _require(doc, "edges", list)
-    # The whole-list checks pass on every well-formed list that json
-    # parses; otherwise the edge-by-edge loop finds the first bad edge.
-    parsed = _edges_at_once(edge_docs, num_labels, num_nodes)
-    edges, pairwise = parsed or _edges_one_by_one(edge_docs, num_labels, num_nodes)
 
     constraints = doc.get("constraints", [])
     if not isinstance(constraints, list):
@@ -259,6 +202,19 @@ def _write_list(handle, key, items):
     handle.write("\n ]")
 
 
+# rows converted to Python lists per step of the writer: enough to
+# amortise `tolist`, few enough that the live floats stay bounded
+_ROWS_PER_CHUNK = 256
+
+
+def _rows(*arrays):
+    """Rows of the equal-length `arrays` as tuples of Python lists,
+    converted `_ROWS_PER_CHUNK` rows at a time."""
+    for start in range(0, len(arrays[0]), _ROWS_PER_CHUNK):
+        stop = start + _ROWS_PER_CHUNK
+        yield from zip(*(array[start:stop].tolist() for array in arrays))
+
+
 def save_problem(problem, path):
     """Write `problem` with the bytes of json.dump(..., indent=1) plus a
     closing newline: edges are written with explicit matrices, and
@@ -268,7 +224,8 @@ def save_problem(problem, path):
     `%r` formats a float as `float.__repr__`, which is how json spells a
     finite float (potentials and features are always finite), and `%d`
     an int as json does.  Each edge and feature row is its own write, so
-    no string holds the whole document."""
+    no string holds the whole document, and rows become Python lists a
+    chunk at a time, so neither does a list of every block."""
     graph, potentials = problem.graph, problem.potentials
     n, k = graph.num_nodes, graph.num_labels
     head = (
@@ -276,13 +233,13 @@ def save_problem(problem, path):
         + _template((n, k), 1)
     )
     edge = '{\n   "i": %d,\n   "j": %d,\n   "psi": ' + _template((k, k), 3) + "\n  }"
-    edges = graph.edges.tolist()
-    blocks = potentials.pairwise.reshape(len(edges), k * k).tolist()
+    blocks = potentials.pairwise.reshape(len(graph.edges), k * k)
     with open(path, "w", encoding="utf-8") as handle:
-        unary = potentials.unary.ravel().tolist()
-        handle.write(head % (SCHEMA_VERSION, k, n, *unary))
+        handle.write(head % (SCHEMA_VERSION, k, n, *potentials.unary.ravel().tolist()))
         _write_list(
-            handle, "edges", (edge % (i, j, *b) for (i, j), b in zip(edges, blocks))
+            handle,
+            "edges",
+            (edge % (*ij, *b) for ij, b in _rows(graph.edges, blocks)),
         )
         _write_list(
             handle,
@@ -297,6 +254,7 @@ def save_problem(problem, path):
                 for key, column in zip(_FEATURE_KEYS, columns)
             )
             row = "{\n   " + ",\n   ".join(fields) + "\n  }"
-            table = np.hstack(columns).tolist()
-            _write_list(handle, "features", (row % tuple(v) for v in table))
+            _write_list(
+                handle, "features", (row % (*c, *m, *h) for c, m, h in _rows(*columns))
+            )
         handle.write("\n}\n")

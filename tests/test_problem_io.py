@@ -12,12 +12,7 @@ import pytest
 
 from crfqp import ConstraintSets, CrfGraph, Potentials, cli, load_problem, save_problem
 from crfqp.potentials import NodeFeatures, pairwise_potential
-from crfqp.problem_io import (
-    ProblemFile,
-    _edges_at_once,
-    _edges_one_by_one,
-    problem_from_dict,
-)
+from crfqp.problem_io import ProblemFile, problem_from_dict
 from helpers import problem_to_dict, same_problem, saved_bytes
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -329,20 +324,9 @@ def test_save_holds_no_whole_document_in_memory(tmp_path, benchmark_problems):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # json.dump of the whole document peaks at about 2.2 MiB here
-    assert peak < 1.5 * 2**20
-
-
-def test_whole_list_edge_parse_matches_the_per_edge_loop(benchmark_problems):
-    edge_docs = problem_to_dict(benchmark_problems[0])["edges"]
-    # dis shorthands and integer entries, mixed with explicit matrices
-    edge_docs[3] = {"i": edge_docs[3]["i"], "j": edge_docs[3]["j"], "dis": 1}
-    edge_docs[5] = {"i": edge_docs[5]["i"], "j": edge_docs[5]["j"], "dis": 0.3}
-    edge_docs[7]["psi"][1] = [2, 0, -1, 2**60, 3]
-    fast_edges, fast = _edges_at_once(edge_docs, 5, 400)
-    slow_edges, slow = _edges_one_by_one(edge_docs, 5, 400)
-    assert fast_edges.tolist() == [list(pair) for pair in slow_edges]
-    assert fast.tobytes() == slow.tobytes()
+    # json.dump of the whole document peaks at about 2.2 MiB here, and
+    # converting every block to Python lists at once at about 1.1 MiB
+    assert peak < 0.75 * 2**20
 
 
 def _edge_faults():
