@@ -87,9 +87,10 @@ def _belief_sum(tgt, num_nodes):
 
     Returns
     -------
-    (rank, add) : (ndarray, callable)
+    (rank, add, max_degree) : (ndarray, callable, int)
         add(beliefs, messages) adds (K, D) messages into (K, N)
-        rank-ordered beliefs in place.
+        rank-ordered beliefs in place; max_degree is the largest
+        in-degree.
     """
     counts = np.bincount(tgt, minlength=num_nodes)
     ranked = np.argsort(-counts, kind="stable")
@@ -113,7 +114,7 @@ def _belief_sum(tgt, num_nodes):
         if tail.size:
             np.add.at(beliefs.T, tail_rank, np.take(messages, tail, axis=1).T)
 
-    return rank, add
+    return rank, add, int(counts.max())
 
 
 def _potts_messages(same, differ):
@@ -169,6 +170,39 @@ def _dense_messages(psi_dir):
     return lambda base: np.max(base[:, None, :] + psi_dir, axis=0, out=base)
 
 
+# Most iterations for which halving stays exact (see `_halving_is_exact`).
+_HALVING_ITERS = 900
+
+
+def _halving_is_exact(terms, max_degree, max_iters):
+    """Whether damping by 0.5 as fl(fl(new + old) * 0.5) reproduces
+    fl(fl(new * 0.5) + fl(old * 0.5)) bit for bit on every iteration.
+
+    Scaling by 0.5 commutes with rounding unless a result leaves the
+    normal range, so the two forms differ only where new + old
+    overflows or a halved operand loses bits as a subnormal.
+
+    Overflow: with U the largest shifted unary, P the largest pair sum
+    (every value of either is >= 0) and d the largest in-degree, a
+    normalized message lies in [-P, 0], a belief in [-d P, U], an
+    update's base in [-d P, U + P] and its result in [-d P, U + 2 P],
+    so new + old lies in [-(d + 1) P, U + 2 P].  U + (d + 3) P below
+    half the float64 maximum bounds every one of them with room for
+    the rounding of the sums.
+
+    Subnormals: the floor shift leaves every unary and pairwise value
+    at 0 or at least 2^-30 (FLOOR = 1e-9 is above 2^-30 and the shift
+    lands on it to within rounding), so every value is a multiple of
+    2^-82.  Sums, differences and maxima keep that grid and each
+    halving refines it by one bit, so after t iterations every nonzero
+    operand is a multiple of 2^-(82 + t), hence at least 2^-1021 for
+    t <= 939, and its half is normal.  `_HALVING_ITERS` = 900 stays
+    inside that."""
+    pair_sums = terms.potts if terms.potts is not None else terms.sums
+    bound = float(terms.unary.max()) + (max_degree + 3) * float(pair_sums.max())
+    return max_iters <= _HALVING_ITERS and bound < np.finfo(np.float64).max / 2
+
+
 def lbp_map(graph, potentials, max_iters=200, damping=0.5):
     """Synchronous max-product belief propagation, decoded per node.
 
@@ -188,11 +222,22 @@ def lbp_map(graph, potentials, max_iters=200, damping=0.5):
 
     Each iteration gathers beliefs at the message sources once, takes
     the reverse messages as the two swapped halves of the message array
-    and updates, damps and normalizes in that buffer; the message,
-    update, damping and belief buffers are allocated once per call and
-    swapped between iterations.  A decoded labeling equal to the
-    previous one reuses its objective value, so `objective_of_labeling`
-    runs only when the labeling changes.
+    and updates, damps and normalizes in that buffer.  The message and
+    update buffers, both (K, 2E), swap roles between iterations; they,
+    the (K, N) beliefs and the decode's (N,) buffers are allocated once
+    per call.  At the default damping of 0.5 the update is damped in
+    two passes, new += old; new *= 0.5, which equals the general
+    new *= 1 - d; new += old * d bit for bit whenever
+    `_halving_is_exact` proves it; otherwise, and at any other damping,
+    the three-pass form runs with a third (K, 2E) buffer.
+
+    The decode takes the column maximum of the label-major beliefs and
+    sweeps the K rows from last to first, writing each row's label
+    where it attains the maximum, so the first maximum wins as argmax
+    breaks ties; beliefs are never NaN, as messages are checked finite.
+    A decoded labeling equal to the previous one reuses its objective
+    value, so `objective_of_labeling` runs only when the labeling
+    changes.
 
     Returns
     -------
@@ -238,15 +283,20 @@ def lbp_map(graph, potentials, max_iters=200, damping=0.5):
     # its output, which mode "raise" would buffer.  Belief columns are
     # in in-degree rank order (see _belief_sum); labelings are mapped
     # back on decoding.
-    rank, add_messages = _belief_sum(tgt, n)
+    rank, add_messages, max_degree = _belief_sum(tgt, n)
     src_col = rank[src]
     unary = np.empty((k, n))
     unary[:, rank] = terms.unary.T
     messages = np.zeros((k, 2 * num_e))
     base = np.empty_like(messages)
-    spare = np.empty_like(messages)
+    halve = damping == 0.5 and _halving_is_exact(terms, max_degree, max_iters)
+    if not halve:
+        spare = np.empty_like(messages)
     col_max = np.empty(2 * num_e)
     beliefs = np.empty((k, n))
+    top = np.empty(n)
+    hit = np.empty(n, dtype=bool)
+    label = np.empty(n, dtype=np.int64)
 
     def beliefs_now():
         np.copyto(beliefs, unary)
@@ -259,7 +309,10 @@ def lbp_map(graph, potentials, max_iters=200, damping=0.5):
         # the objective depends on the labeling alone: score it only
         # when the labeling changed since the previous decode
         nonlocal last
-        labeling = extract_labeling(beliefs.T)[rank]
+        np.max(beliefs, axis=0, out=top)
+        for q in range(k - 1, -1, -1):
+            np.copyto(label, q, where=np.equal(beliefs[q], top, out=hit))
+        labeling = label[rank]
         if last[0] is None or not np.array_equal(labeling, last[0]):
             last = labeling, objective_of_labeling(graph, potentials, labeling)
         return last
@@ -274,8 +327,12 @@ def lbp_map(graph, potentials, max_iters=200, damping=0.5):
         base[:, :num_e] -= messages[:, num_e:]
         base[:, num_e:] -= messages[:, :num_e]
         new = message(base)
-        new *= 1.0 - damping
-        new += np.multiply(messages, damping, out=spare)
+        if halve:
+            new += messages
+            new *= 0.5
+        else:
+            new *= 1.0 - damping
+            new += np.multiply(messages, damping, out=spare)
         new -= np.max(new, axis=0, out=col_max)
         # the old messages are spent: their buffer takes the difference
         messages -= new

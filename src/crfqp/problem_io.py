@@ -54,11 +54,15 @@ def _require(doc, field, kind):
 # None would be converted silently by np.asarray
 _NUMBER_TYPES = frozenset((int, float))
 _JSON_NAMES = {bool: "a boolean", str: "a string", type(None): "null"}
+# JSON integers are unbounded; float64 is not
+_TOO_LARGE = "number too large for a float64"
 
 
 def _as_float_array(value, field, shape=None):
     try:
         arr = np.asarray(value, dtype=np.float64)
+    except OverflowError:
+        _fail(field, _TOO_LARGE)
     except (TypeError, ValueError):
         _fail(field, "not a numeric array")
     if shape is not None and arr.shape != shape:
@@ -120,7 +124,12 @@ def problem_from_dict(doc):
             dis = entry["dis"]
             if not isinstance(dis, (int, float)) or isinstance(dis, bool):
                 _fail(f"{where}.dis", "must be a number")
-            pairwise[idx] = pairwise_potential(float(dis), num_labels)
+            try:
+                pairwise[idx] = pairwise_potential(float(dis), num_labels)
+            except OverflowError:
+                _fail(f"{where}.dis", _TOO_LARGE)
+            except ValueError as exc:
+                _fail(f"{where}.dis", str(exc))
         edges.append((i, j))
 
     constraints = doc.get("constraints", [])

@@ -18,7 +18,7 @@ from crfqp import (
     extract_labeling,
     objective_of_labeling,
 )
-from crfqp.solver import SolveReport, shift_to_floor
+from crfqp.solver import SolveReport, SolverFailure, shift_to_floor
 
 
 def random_graph(rng, num_nodes, num_labels, edge_prob=0.4):
@@ -253,7 +253,8 @@ def full_matrix_ground_plane(cloud, params):
 def dense_lbp(graph, potentials, max_iters=200, damping=0.5):
     """Max-product LBP with node-major messages, a dense K x K
     maximisation per message and `np.add.at` belief sums: the reference
-    that `lbp_map` must reproduce bit for bit."""
+    that `lbp_map` must reproduce bit for bit, raising `SolverFailure`
+    at the same iteration when the messages turn non-finite."""
     n, k = graph.num_nodes, graph.num_labels
     shifted, _ = shift_to_floor(potentials)
 
@@ -285,6 +286,8 @@ def dense_lbp(graph, potentials, max_iters=200, damping=0.5):
         new = damping * messages + (1.0 - damping) * new
         new -= new.max(axis=1, keepdims=True)
         change = float(np.max(np.abs(new - messages)))
+        if not np.isfinite(change):
+            raise SolverFailure(f"non-finite messages at iteration {it}")
         messages = new
         iterations = it
 

@@ -15,16 +15,24 @@ from crfqp import (
     lbp_map,
     reduce_problem,
 )
-from crfqp.baselines import BRUTE_FORCE_LIMIT, _belief_sum
+from crfqp.baselines import BRUTE_FORCE_LIMIT, _belief_sum, _halving_is_exact
 from crfqp.solver import _decoder_terms
 from helpers import (
     dense_lbp,
     enumerate_map,
     random_disjoint_sets,
+    random_graph,
     random_instance,
     random_potts_instance,
     random_tree,
 )
+
+
+def _grid(width, height, num_labels):
+    """A width x height 4-neighbour grid, edges sorted."""
+    edges = [(i, i + 1) for i in range(width * height) if (i + 1) % width]
+    edges += [(i, i + width) for i in range(width * (height - 1))]
+    return CrfGraph(width * height, num_labels, sorted(edges))
 
 
 def test_brute_force_single_node():
@@ -111,15 +119,7 @@ def test_lbp_edgeless_graph_short_circuits():
 def test_lbp_near_optimal_on_small_grids():
     # 3x3 grid, nonnegative potentials: decoded value within 5% of the
     # optimum on at least 90 of 100 seeds
-    edges = []
-    for r in range(3):
-        for c in range(3):
-            i = 3 * r + c
-            if c + 1 < 3:
-                edges.append((i, i + 1))
-            if r + 1 < 3:
-                edges.append((i, i + 3))
-    graph = CrfGraph(9, 3, sorted(edges))
+    graph = _grid(3, 3, 3)
     hits = 0
     for seed in range(100):
         rng = np.random.default_rng(seed)
@@ -143,13 +143,26 @@ def test_lbp_damping_validation_and_iteration_cap():
     assert report.iterations <= 3
 
 
+def _outcome(decoder, graph, pot, **kwargs):
+    """A decoder's labeling, trace, best value, iteration count and
+    convergence, or the message of its `SolverFailure`."""
+    try:
+        labeling, report = decoder(graph, pot, **kwargs)
+    except SolverFailure as exc:
+        return str(exc)
+    return (
+        labeling.tolist(),
+        report.objective_trace,
+        report.final_objective,
+        report.iterations,
+        report.converged,
+    )
+
+
 def _assert_same_run(graph, pot, **kwargs):
-    labeling, report = lbp_map(graph, pot, **kwargs)
-    want_lab, want = dense_lbp(graph, pot, **kwargs)
-    assert labeling.tolist() == want_lab.tolist()
-    assert report.objective_trace == want.objective_trace
-    assert report.final_objective == want.final_objective
-    assert (report.iterations, report.converged) == (want.iterations, want.converged)
+    want = _outcome(dense_lbp, graph, pot, **kwargs)
+    assert not isinstance(want, str), want
+    assert _outcome(lbp_map, graph, pot, **kwargs) == want
 
 
 def _is_potts(pot):
@@ -191,6 +204,99 @@ def test_lbp_matches_dense_reference_bitwise_on_general_blocks():
     _assert_same_run(graph, moved)
 
 
+def _halves(graph, pot, max_iters=200):
+    """Whether lbp_map damps in two passes (at damping 0.5)."""
+    max_degree = int(np.bincount(graph.edges.ravel(), minlength=graph.num_nodes).max())
+    return _halving_is_exact(_decoder_terms(pot), max_degree, max_iters)
+
+
+def test_lbp_matches_dense_reference_near_overflow():
+    # sparse potentials between 1e305 and 8e307: where new + old
+    # overflows, damping must fall back to three passes
+    graph = _grid(4, 4, 3)
+    shape = (graph.num_nodes, 3), (graph.num_edges, 3, 3)
+    fallbacks = finished = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for probe in range(150):
+            rng = np.random.default_rng([101, probe])
+            unary, pairwise = (
+                10 ** rng.uniform(305, np.log10(8e307))
+                * (rng.uniform(size=s) < 0.4)
+                * rng.uniform(0.5, 1.0, size=s)
+                for s in shape
+            )
+            pot = Potentials(unary, pairwise)
+            fallbacks += not _halves(graph, pot, 50)
+            want = _outcome(dense_lbp, graph, pot, max_iters=50)
+            assert _outcome(lbp_map, graph, pot, max_iters=50) == want
+            finished += not isinstance(want, str)
+    # both damping forms run, and nearly every run finishes
+    assert 40 < fallbacks < 110 and finished > 140
+
+
+def test_lbp_matches_dense_reference_at_other_dampings():
+    scene = generate_scene(18, 15, num_objects=3, num_labels=5, seed=1)
+    rng = np.random.default_rng(103)
+    cases = [(scene.graph, scene.potentials)]
+    for _ in range(6):
+        n, k = int(rng.integers(2, 20)), int(rng.integers(2, 6))
+        cases.append(random_potts_instance(rng, n, k))
+        cases.append(random_instance(rng, n, k, edge_prob=0.3))
+    for damping in (0.25, 0.75, 0.5):
+        for graph, pot in cases:
+            _assert_same_run(graph, pot, damping=damping, max_iters=60)
+    # past the iteration cap for two-pass damping
+    graph, pot = random_instance(np.random.default_rng(107), 9, 3, edge_prob=0.6)
+    assert _halves(graph, pot, 900) and not _halves(graph, pot, 901)
+    _assert_same_run(graph, pot, max_iters=901)
+
+
+def test_lbp_matches_dense_reference_at_extreme_scales_and_offsets():
+    rng = np.random.default_rng(109)
+    for scale, offset in ((1e-300, 0.0), (1e-300, 1.0), (1.0, 1e3), (1.0, 1e6),
+                          (1.0, 1e9), (1.0, -1e12), (1e3, 1e12)):
+        for make in (random_potts_instance, random_instance):
+            graph, pot = make(rng, 12, 4)
+            moved = Potentials(
+                scale * pot.unary + offset, scale * pot.pairwise + offset
+            )
+            # the grid argument of two-pass damping: every shifted value
+            # is 0 or at least 2^-30
+            terms = _decoder_terms(moved)
+            for values in (terms.unary, terms.potts if terms.sums is None else terms.sums):
+                assert np.all((values == 0.0) | (values >= 2.0**-30))
+            assert _halves(graph, moved)
+            _assert_same_run(graph, moved, max_iters=80)
+
+
+def test_lbp_matches_dense_reference_on_repulsive_potts_edges():
+    rng = np.random.default_rng(113)
+    for _ in range(10):
+        n, k = int(rng.integers(3, 20)), int(rng.integers(2, 6))
+        graph = random_graph(rng, n, k, edge_prob=0.5)
+        diag = rng.uniform(0.0, 0.5, size=(graph.num_edges, 1, 1))
+        off = diag + rng.uniform(0.1, 1.0, size=(graph.num_edges, 1, 1))
+        pot = Potentials(
+            rng.uniform(-1.0, 1.0, size=(n, k)),
+            np.where(np.eye(k, dtype=bool), diag, off),
+        )
+        assert _is_potts(pot)
+        for damping in (0.5, 0.25):
+            _assert_same_run(graph, pot, damping=damping, max_iters=60)
+
+
+def test_lbp_decodes_tied_beliefs_to_label_zero():
+    # every belief of every node tied, on the Potts path and the dense one
+    graph = _grid(5, 4, 4)
+    dense = np.eye(4) + 0.5 * np.roll(np.eye(4), 2, axis=1)
+    for block in (np.full((4, 4), 0.3), np.eye(4), dense):
+        pot = Potentials(np.full((20, 4), 0.7), np.broadcast_to(block, (graph.num_edges, 4, 4)))
+        assert _is_potts(pot) == (block is not dense)
+        labeling, _ = lbp_map(graph, pot)
+        assert labeling.tolist() == [0] * 20
+        _assert_same_run(graph, pot)
+
+
 def test_lbp_raises_when_messages_turn_non_finite():
     graph = CrfGraph(3, 2, [(0, 1), (1, 2)])
     unary = [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]
@@ -225,7 +331,8 @@ def test_belief_sums_match_sequential_scatter():
         base = rng.uniform(0.5, 1.0, size=(n, k))
         want = base.copy()
         np.add.at(want, tgt, messages.T)
-        rank, add = _belief_sum(tgt, n)
+        rank, add, max_degree = _belief_sum(tgt, n)
+        assert max_degree == np.bincount(tgt).max()
         got = np.empty((k, n))
         got[:, rank] = base.T
         add(got, messages)

@@ -247,6 +247,29 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert f"{deep}: JSON nested too deeply" in capsys.readouterr().err
 
 
+def test_integers_beyond_float64_exit_2(tmp_path, capsys):
+    # JSON integers are unbounded: 10**400 has no float64 value
+    huge = 10**400
+    problem_path = synth(tmp_path)
+    bad = tmp_path / "huge.json"
+    for field in ("unary", "edges[0].psi", "edges[0].dis", "features[1].centroid"):
+        doc = json.loads(problem_path.read_text())
+        if field == "unary":
+            doc["unary"][0][0] = huge
+        elif field == "edges[0].psi":
+            doc["edges"][0]["psi"][1][0] = huge
+        elif field == "edges[0].dis":
+            edge = doc["edges"][0]
+            doc["edges"][0] = {"i": edge["i"], "j": edge["j"], "dis": huge}
+        else:
+            doc["features"][1]["centroid"][1] = huge
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["solve", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"problem file field '{field}': number too large for a float64" in err
+
+
 def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
     problem_path = synth(tmp_path)
     capsys.readouterr()

@@ -366,9 +366,27 @@ def _edge_faults():
         ),
         (
             lambda e: {"i": e, "j": e + 1, "dis": 2.0 + e},
-            r"^dissimilarity must lie in \[0, 1\], got {bad}$",
+            field + r"\.dis': dissimilarity must lie in \[0, 1\], got {bad}$",
         ),
     ]
+
+
+def test_dis_outside_unit_interval_names_its_field():
+    for dis, shown in ((2.0, "2.0"), (-0.25, "-0.25"), (float("nan"), "nan"), (3, "3.0")):
+        doc = tiny_doc()
+        doc["edges"][1]["dis"] = dis
+        with pytest.raises(ValueError) as excinfo:
+            problem_from_dict(doc)
+        want = (
+            "problem file field 'edges[1].dis': "
+            f"dissimilarity must lie in [0, 1], got {shown}"
+        )
+        assert str(excinfo.value) == want
+    for dis in (0, 1, 0.0, 1.0):
+        doc = tiny_doc()
+        doc["edges"][1]["dis"] = dis
+        want = pairwise_potential(float(dis), 2)
+        assert np.array_equal(problem_from_dict(doc).potentials.pairwise[1], want)
 
 
 def _chain_doc(num_nodes):
