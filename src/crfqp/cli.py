@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 input error, 3 solver error.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -276,9 +277,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser():
+    """The parser `main` uses, built on first use: parsing leaves it
+    unchanged, so one serves every call in a process."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except SolverFailure as exc:

@@ -7,7 +7,6 @@ sets) against a scene's ground truth and scores each with macro
 segmentation metrics.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +52,6 @@ class MethodResult:
     labeling: np.ndarray
     metrics: MetricsReport
     objective: float
-    wall_time: float
     iterations: int
 
 
@@ -68,18 +66,15 @@ def evaluate_scene(scene, methods=METHODS, solver_config=None, constraint_sets=N
     sets = constraint_sets
     results = {}
     for method in methods:
-        start = time.perf_counter()
         if sets is None and method == "cqp":
             params = CloudParams(rng_seed=scene.seed)
             sets = build_constraint_sets(scene.cloud, params, scene.projection)
         labeling, report = decode(method, scene.graph, scene.potentials, sets, config)
-        wall = time.perf_counter() - start
         results[method] = MethodResult(
             method=method,
             labeling=labeling,
             metrics=compute_metrics(scene.true_labels, labeling, scene.num_labels),
             objective=objective_of_labeling(scene.graph, scene.potentials, labeling),
-            wall_time=wall,
             iterations=0 if report is None else report.iterations,
         )
     return results

@@ -142,19 +142,22 @@ def iterate(marginals, q):
     """One synchronous multiplicative step: reweight each row by its
     gradient entries, then renormalize.  Requires q >= 0 (negative
     entries signal a missing nonnegativity shift).  Rows whose
-    normalizer is zero are left unchanged.
-
-    Row normalizers come from one BLAS matrix-vector product with a
-    vector of ones, and the division runs in place; the masked handling
-    of zero rows runs only when some normalizer is not positive."""
+    normalizer is zero are left unchanged."""
     mu = np.asarray(marginals, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if q.shape != mu.shape:
         raise ValueError(f"gradient shape {q.shape} does not match {mu.shape}")
     if q.min(initial=0.0) < 0.0:
         raise ValueError("gradient has negative entries; shift potentials first")
+    return _step(mu, q, np.ones(mu.shape[1]))
+
+
+def _step(mu, q, ones):
+    """`iterate` on checked arrays, into a fresh array.  Row normalizers
+    are one BLAS product with `ones` (K ones); zero rows get masked
+    handling only when some normalizer is not positive."""
     out = mu * q
-    norms = out @ np.ones(out.shape[1])
+    norms = out @ ones
     # A NaN or negative normalizer can hide a zero one from the minimum.
     if not norms.min(initial=np.inf) > 0.0:
         degenerate = norms == 0.0
@@ -258,63 +261,83 @@ def _decoder_terms(potentials, shift=True):
     return _DecoderTerms(unary, offsets, weights + weights, None)
 
 
+def _directed_pattern(graph):
+    """Both directions of every edge as an N x N CSR pattern with
+    column-sorted rows: row pointers, column indices, and each entry's
+    directed edge d (edge d from i to j, or edge d - E from j to i)."""
+    n, ea = graph.num_nodes, graph.edges
+    rows = np.concatenate([ea[:, 0], ea[:, 1]])
+    cols = np.concatenate([ea[:, 1], ea[:, 0]])
+    # keys are distinct, so every sort kind gives this order; the
+    # stable one is the fastest on the sorted runs of an edge list
+    order = np.argsort(rows * n + cols, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols[order], order
+
+
 def _quadratic_operator(graph, terms):
     """Pairwise operator matvec(mu) -> (N, K) with sum(mu * matvec(mu))
     equal to the pairwise objective term and gradient contribution
     2 * matvec(mu), built from `_decoder_terms`.
 
-    On Potts graphs each edge's symmetric part is o * 11^T + (d - o) * I
-    and the operator is two N x N adjacencies with 2E non-zeros each:
-    W_delta @ mu + (W_o @ rowsum(mu)) broadcast over labels.  Both share
-    one CSR pattern, column-sorted within each row as scipy's COO
-    conversion orders it, so sums run in the order they always have.
-    Any other graph uses the general (N*K, N*K) CSR with 2 * E * K^2
-    non-zeros."""
+    Both operators are laid out on one sorted pattern,
+    `_directed_pattern`, so sums run in the order scipy's COO conversion
+    gave them.  On Potts graphs each edge's symmetric part is
+    o * 11^T + (d - o) * I, and the operator is two N x N adjacencies
+    with 2E non-zeros each: W_delta @ mu + (W_o @ rowsum(mu)) broadcast
+    over labels.  Any other graph uses `_general_csr`, with 2 * E * K^2
+    non-zeros in general block rows."""
     n, k = graph.num_nodes, graph.num_labels
     if not graph.num_edges:
         return lambda mu: np.zeros((n, k))
-    ea = graph.edges
-    if terms.potts is not None:
-        num_e = graph.num_edges
-        rows = np.concatenate([ea[:, 0], ea[:, 1]])
-        cols = np.concatenate([ea[:, 1], ea[:, 0]])
-        # keys are distinct, so every sort kind gives this order; the
-        # stable one is the fastest on the sorted runs of an edge list
-        order = np.argsort(rows * n + cols, kind="stable")
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        indices = cols[order]
-        edge_of = order % num_e
+    if terms.potts is None:
+        quad = _general_csr(graph, 0.5 * terms.sums)
+        return lambda mu: (quad @ mu.ravel()).reshape(n, k)
+    indptr, indices, order = _directed_pattern(graph)
+    edge_of = order % graph.num_edges
 
-        def adjacency(weights):
-            return sp.csr_matrix((weights[edge_of], indices, indptr), shape=(n, n))
+    def adjacency(weights):
+        return sp.csr_matrix((weights[edge_of], indices, indptr), shape=(n, n))
 
-        diag, off = 0.5 * terms.potts.T
-        w_delta, w_off = adjacency(diag - off), adjacency(off)
-        ones = np.ones(k)
+    diag, off = 0.5 * terms.potts.T
+    w_delta, w_off = adjacency(diag - off), adjacency(off)
+    ones = np.ones(k)
 
-        def potts_matvec(mu):
-            out = w_delta @ mu
-            out += (w_off @ (mu @ ones))[:, None]
-            return out
+    def potts_matvec(mu):
+        out = w_delta @ mu
+        out += (w_off @ (mu @ ones))[:, None]
+        return out
 
-        return potts_matvec
+    return potts_matvec
 
-    sym = 0.5 * terms.sums
-    dim = n * k
-    p_idx, q_idx = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
-    rows_ij = (ea[:, 0, None, None] * k + p_idx).ravel()
-    cols_ij = (ea[:, 1, None, None] * k + q_idx).ravel()
-    rows = np.concatenate([rows_ij, cols_ij])
-    cols = np.concatenate([cols_ij, rows_ij])
-    data = np.concatenate([sym.ravel(), sym.ravel()])
-    quad = sp.csr_matrix((data, (rows, cols)), shape=(dim, dim))
-    return lambda mu: (quad @ mu.ravel()).reshape(n, k)
+
+def _general_csr(graph, blocks):
+    """The (N*K, N*K) CSR with entry ((i, p), (j, q)) = blocks[e][p, q]
+    for edge e = (i, j), transposed for e = (j, i).  Row (i, p) holds
+    row p of each of i's directed blocks, K entries per neighbour in
+    `_directed_pattern`'s order: the arrays scipy's COO conversion
+    makes of the same entries, which never share a position."""
+    n, k = graph.num_nodes, graph.num_labels
+    indptr, indices, order = _directed_pattern(graph)
+    labels = np.arange(k)
+    # chunk c of row (i, p), one per neighbour, is pattern entry
+    # indptr[i] + c - first[i * K + p]
+    chunks = np.repeat(np.diff(indptr), k)
+    first = np.zeros(n * k + 1, dtype=np.int64)
+    np.cumsum(chunks, out=first[1:])
+    entry = np.arange(first[-1]) + np.repeat(np.repeat(indptr[:-1], k) - first[:-1], chunks)
+    label = np.repeat(np.tile(labels, n), chunks)
+    # row p of directed block d is row d * K + p of these
+    rows = np.concatenate([blocks, blocks.transpose(0, 2, 1)]).reshape(-1, k)
+    data = np.take(rows, order[entry] * k + label, axis=0).ravel()
+    cols = np.take(indices[:, None] * k + labels, entry, axis=0).ravel()
+    return sp.csr_matrix((data, cols, first * k), shape=(n * k, n * k))
 
 
 def _finite(x):
-    # min and max propagate NaN, so two reductions replace an isfinite mask
-    return bool(np.isfinite(x.min(initial=0.0)) and np.isfinite(x.max(initial=0.0)))
+    # min and max propagate NaN, and NaN fails both comparisons
+    return bool(-np.inf < x.min(initial=0.0) and x.max(initial=0.0) < np.inf)
 
 
 def solve(graph, potentials, config=None, callback=None):
@@ -341,11 +364,14 @@ def solve(graph, potentials, config=None, callback=None):
     but whose symmetric parts are still takes the Potts operator; any
     other graph takes the general one.
 
-    One iteration is one operator application, one `iterate` step and
-    a handful of reductions: the gradient is formed in place in the
-    operator's output, finiteness and the max change come from min/max
-    reductions, and every iterate is a fresh array, so a callback may
-    keep the marginals it is handed.
+    One iteration is one operator application, one step of `iterate`'s
+    arithmetic without its input checks, and two min/max pairs.  The
+    gradient is formed in place in the operator's output, and one pair
+    tests it for finiteness and sign.  The other takes the max change
+    from a difference buffer that every iteration reuses; the iterate
+    is tested for finiteness only when that change is not finite.
+    Every iterate is a fresh array, so a callback may keep the
+    marginals it is handed.
 
     Returns
     -------
@@ -366,29 +392,36 @@ def solve(graph, potentials, config=None, callback=None):
     terms = _decoder_terms(potentials)
     offset = terms.offsets.objective_offset(graph)
     matvec = _quadratic_operator(graph, terms)
-    b = terms.unary.ravel()
+    b = terms.unary
+    b_flat = b.ravel()
+    ones = np.ones(graph.num_labels)
 
-    mu = _initial_marginals(terms.unary, config.init)
-    a = mu.ravel()
-    qa = matvec(mu).ravel()
-    trace = [float(b @ a + a @ qa) - offset]
+    mu = _initial_marginals(b, config.init)
+    change = np.empty_like(mu)
+    a, qa = mu.ravel(), matvec(mu)
+    trace = [float(b_flat @ a + a @ qa.ravel()) - offset]
     converged = False
     iterations = 0
     for it in range(1, config.max_iterations + 1):
         # gradient b + 2 * qa, formed in the matvec's own buffer
         qa *= 2.0
         qa += b
-        if not _finite(qa):
+        low = qa.min(initial=0.0)
+        if not (-np.inf < low and qa.max(initial=0.0) < np.inf):
             raise SolverFailure(f"non-finite gradient at iteration {it}")
-        new_mu = iterate(mu, qa.reshape(mu.shape))
-        if not _finite(new_mu):
+        if low < 0.0:
+            raise ValueError("gradient has negative entries; shift potentials first")
+        new_mu = _step(mu, qa, ones)
+        # a non-finite iterate makes the change non-finite, so the iterate
+        # is scanned only then (finite iterates can differ by an overflow)
+        np.subtract(new_mu, mu, out=change)
+        high, low = change.max(), change.min()
+        if not (-np.inf < low and high < np.inf) and not _finite(new_mu):
             raise SolverFailure(f"non-finite marginals at iteration {it}")
-        d = new_mu - mu
-        delta = float(max(d.max(), -d.min()))
+        delta = float(max(high, -low))
         mu = new_mu
-        a = mu.ravel()
-        qa = matvec(mu).ravel()
-        trace.append(float(b @ a + a @ qa) - offset)
+        a, qa = mu.ravel(), matvec(mu)
+        trace.append(float(b_flat @ a + a @ qa.ravel()) - offset)
         iterations = it
         if callback is not None:
             callback(it, mu)

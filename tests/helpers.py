@@ -9,6 +9,7 @@ import itertools
 import json
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
 from crfqp import (
@@ -59,6 +60,22 @@ def loop_pairwise_matvec(graph, pairwise, mu):
         out[i] += sym @ mu[j]
         out[j] += sym.T @ mu[i]
     return out
+
+
+def coo_general_csr(graph, blocks):
+    """The general (N*K, N*K) pairwise CSR as scipy's COO conversion
+    builds it: entry ((i, p), (j, q)) = blocks[e][p, q] for every edge
+    e = (i, j), and the transposed entry for the reverse direction,
+    listed through a meshgrid of label pairs."""
+    n, k = graph.num_nodes, graph.num_labels
+    ea = graph.edges
+    p_idx, q_idx = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
+    rows_ij = (ea[:, 0, None, None] * k + p_idx).ravel()
+    cols_ij = (ea[:, 1, None, None] * k + q_idx).ravel()
+    rows = np.concatenate([rows_ij, cols_ij])
+    cols = np.concatenate([cols_ij, rows_ij])
+    data = np.concatenate([blocks.ravel(), blocks.ravel()])
+    return sp.csr_matrix((data, (rows, cols)), shape=(n * k, n * k))
 
 
 def random_marginals(rng, num_nodes, num_labels):

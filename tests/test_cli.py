@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,3 +329,50 @@ def test_bad_usage_exits_via_argparse():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["solve", "p.json", "--seed", "1"])
     assert excinfo.value.code == 2
+
+
+def test_main_calls_in_one_process_behave_as_separate_processes(tmp_path, capsys):
+    """`main` parses with one parser per process; a run of calls, each
+    with other options than the one before, exits and prints as fresh
+    processes do (solve reports differ only in their wall time)."""
+    problem = synth(tmp_path)
+    pred, truth = tmp_path / "pred.labels", tmp_path / "truth.labels"
+    pred.write_text("0\n1\n0\n0\n")
+    truth.write_text("0\n1\n1\n0\n")
+    calls = [
+        ["solve", str(problem), "--solver", "qp", "--max-iters", "7",
+         "--output", str(tmp_path / "qp.labels")],
+        ["eval", str(pred), str(truth), "--format", "csv", "--labels", "3"],
+        ["solve"],
+        ["eval", str(pred), str(truth)],
+        ["solve", str(problem), "--output", str(tmp_path / "cqp.labels")],
+    ]
+
+    def seen(code, out, err, argv):
+        if argv[0] == "solve" and code == 0:
+            out = json.loads(out)
+            assert out.pop("wall_time_s") >= 0.0
+        return code, out, err
+
+    capsys.readouterr()
+    in_process = []
+    for argv in calls:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        in_process.append(seen(code, *capsys.readouterr(), argv))
+    assert [code for code, _, _ in in_process] == [0, 0, 2, 0, 0]
+
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for argv, got in zip(calls, in_process):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "crfqp.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert got == seen(fresh.returncode, fresh.stdout, fresh.stderr, argv)

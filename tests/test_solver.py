@@ -26,6 +26,7 @@ from crfqp.potentials import pairwise_potential
 from crfqp.solver import (
     ShiftOffsets,
     _decoder_terms,
+    _general_csr,
     _initial_marginals,
     _potts_weights,
     _quadratic_operator,
@@ -33,10 +34,12 @@ from crfqp.solver import (
     shift_to_floor,
 )
 from helpers import (
+    coo_general_csr,
     dense_lbp,
     fd_gradient,
     loop_pairwise_matvec,
     random_disjoint_sets,
+    random_graph,
     random_instance,
     random_marginals,
     random_potts_instance,
@@ -111,6 +114,28 @@ def test_gradient_matches_central_differences():
         assert err < 1e-5
 
 
+def _assert_steps_along_compute_gradient(graph, pot, iterations):
+    """Each kept iterate of `solve` is bitwise the public update along
+    the public gradient at the one before.  The callback keeps the
+    arrays it is handed, uncopied, so an iterate that a later step
+    wrote over would fail the comparison."""
+    steps = []
+    solve(
+        graph,
+        pot,
+        SolverConfig(max_iterations=iterations, tol=1e-300),
+        callback=lambda _, mu: steps.append(mu),
+    )
+    assert len(steps) == iterations
+    assert len({id(mu) for mu in steps}) == iterations
+    shifted, _ = shift_to_floor(pot)
+    prev = _initial_marginals(shifted.unary, "uniform")
+    for got in steps:
+        expected = iterate(prev, compute_gradient(graph, shifted, prev))
+        np.testing.assert_array_equal(got, expected)
+        prev = got
+
+
 def test_solve_steps_along_compute_gradient():
     rng = np.random.default_rng(31)
     for trial in range(20):
@@ -118,21 +143,19 @@ def test_solve_steps_along_compute_gradient():
         k = int(rng.integers(2, 5))
         make = random_potts_instance if trial % 2 else random_instance
         graph, pot = make(rng, n, k, edge_prob=0.5)
-        steps = []
-        solve(
-            graph,
-            pot,
-            SolverConfig(max_iterations=5, tol=1e-300),
-            callback=lambda _, mu: steps.append(mu.copy()),
-        )
-        assert len(steps) == 5
-        shifted, _ = shift_to_floor(pot)
-        prev = _initial_marginals(shifted.unary, "uniform")
-        # each step is bitwise the public update along the public gradient
-        for got in steps:
-            expected = iterate(prev, compute_gradient(graph, shifted, prev))
-            np.testing.assert_array_equal(got, expected)
-            prev = got
+        _assert_steps_along_compute_gradient(graph, pot, 5)
+
+
+def test_solve_steps_along_compute_gradient_at_benchmark_scale():
+    # a general instance of the problem-files size (400 nodes, K = 5,
+    # about 1,100 edges) and a Potts scene of the scene-sweep size
+    rng = np.random.default_rng(32)
+    graph, pot = random_instance(rng, 400, 5, edge_prob=0.014)
+    assert graph.num_edges > 1000 and _potts_weights(pot.pairwise) is None
+    _assert_steps_along_compute_gradient(graph, pot, 6)
+    scene = generate_scene(width=40, height=40, num_objects=6, num_labels=7, seed=3)
+    assert _potts_weights(scene.potentials.pairwise) is not None
+    _assert_steps_along_compute_gradient(scene.graph, scene.potentials, 6)
 
 
 def test_uniform_start_is_bitwise_the_remainder_formula():
@@ -182,6 +205,61 @@ def test_potts_operator_matches_edge_loop():
         graph, pot = random_instance(rng, 8, 4, edge_prob=0.5)
         mu = random_marginals(rng, 8, 4)
         assert _operator_error(graph, pot.pairwise, mu) < 1e-12
+
+
+def test_general_operator_is_the_coo_construction():
+    """`_general_csr` lays the blocks out on the sorted edge pattern;
+    its row pointers, column indices (values and dtype) and the bits of
+    its data equal those of scipy's COO conversion of the same entries,
+    which leaves the order of every sum in the product unchanged."""
+
+    def check(graph, blocks):
+        got, want = _general_csr(graph, blocks), coo_general_csr(graph, blocks)
+        assert got.shape == want.shape
+        for name in ("indptr", "indices"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+        assert got.data.tobytes() == want.data.tobytes()
+
+    rng = np.random.default_rng(71)
+
+    def blocks_for(graph):
+        # raw blocks, asymmetric, with signed zeros among them
+        k = graph.num_labels
+        blocks = rng.uniform(-1.0, 1.0, size=(graph.num_edges, k, k))
+        blocks[rng.uniform(size=blocks.shape) < 0.1] = -0.0
+        return blocks
+
+    for trial in range(40):
+        n = int(rng.integers(1, 25))
+        k = 2 if trial % 4 == 0 else int(rng.integers(3, 7))
+        # sparse graphs leave isolated nodes, E = 0 among them
+        graph = random_graph(rng, n, k, edge_prob=float(rng.uniform(0.0, 0.4)))
+        check(graph, blocks_for(graph))
+    check(CrfGraph(3, 2), np.zeros((0, 2, 2)))
+    # a hub of degree 45 in the middle of the node order, among other
+    # edges and isolated nodes
+    edges = {(min(20, j), max(20, j)) for j in range(60) if j != 20 and j % 4}
+    edges |= {(i, i + 1) for i in range(0, 60, 7)}
+    hub = CrfGraph(64, 3, sorted(edges))
+    assert np.bincount(hub.edges.ravel())[20] >= 40
+    check(hub, blocks_for(hub))
+    # the blocks the solver sees: supernode reductions, whose merged
+    # blocks are sums and transposes of the raw ones
+    for _ in range(10):
+        graph, pot = random_instance(rng, 20, 4, edge_prob=0.3)
+        sets = ConstraintSets(random_disjoint_sets(rng, 20, max_sets=5))
+        reduced = reduce_problem(graph, pot, sets)
+        check(reduced.super_graph, reduced.reduced.pairwise)
+        sums = _decoder_terms(reduced.reduced).sums
+        check(reduced.super_graph, 0.5 * sums)
+    # and the operator the solver iterates with is that CSR's product
+    mu = random_marginals(rng, 20, 4)
+    terms = _decoder_terms(pot, shift=False)
+    want = coo_general_csr(graph, 0.5 * terms.sums) @ mu.ravel()
+    got = _quadratic_operator(graph, terms)(mu)
+    assert got.tobytes() == want.reshape(20, 4).tobytes()
 
 
 def test_potts_detection_is_bitwise_and_per_graph():
