@@ -191,13 +191,12 @@ def _halving_is_exact(terms, max_degree, max_iters):
     the rounding of the sums.
 
     Subnormals: the floor shift leaves every unary and pairwise value
-    at 0 or at least 2^-30 (FLOOR = 1e-9 is above 2^-30 and the shift
-    lands on it to within rounding), so every value is a multiple of
-    2^-82.  Sums, differences and maxima keep that grid and each
-    halving refines it by one bit, so after t iterations every nonzero
-    operand is a multiple of 2^-(82 + t), hence at least 2^-1021 for
-    t <= 939, and its half is normal.  `_HALVING_ITERS` = 900 stays
-    inside that."""
+    at least 2^-30 (the shifted minimum is FLOOR = 1e-9, which is above
+    2^-30), so every value is a multiple of 2^-82.  Sums, differences
+    and maxima keep that grid and each halving refines it by one bit,
+    so after t iterations every nonzero operand is a multiple of
+    2^-(82 + t), hence at least 2^-1021 for t <= 939, and its half is
+    normal.  `_HALVING_ITERS` = 900 stays inside that."""
     pair_sums = terms.potts if terms.potts is not None else terms.sums
     bound = float(terms.unary.max()) + (max_degree + 3) * float(pair_sums.max())
     return max_iters <= _HALVING_ITERS and bound < np.finfo(np.float64).max / 2

@@ -208,29 +208,15 @@ def _cmd_synth(args):
 
 def _format_metrics(report, fmt):
     columns = ("precision", "recall", "accuracy", "f1")
+    stats = report.per_class
+    rows = [(k, [stats[k][c] for c in columns]) for k in sorted(stats)]
+    rows.append(("macro", [getattr(report, f"macro_{c}") for c in columns]))
     if fmt == "csv":
         lines = ["class," + ",".join(columns)]
-        for k in sorted(report.per_class):
-            stats = report.per_class[k]
-            lines.append(
-                f"{k}," + ",".join(f"{stats[c]:.6f}" for c in columns)
-            )
-        lines.append(
-            "macro,"
-            + ",".join(f"{getattr(report, f'macro_{c}'):.6f}" for c in columns)
-        )
-        return "\n".join(lines)
-    header = f"{'class':>8}" + "".join(f"{c.capitalize():>12}" for c in columns)
-    lines = [header]
-    for k in sorted(report.per_class):
-        stats = report.per_class[k]
-        lines.append(
-            f"{k:>8}" + "".join(f"{stats[c]:>12.4f}" for c in columns)
-        )
-    lines.append(
-        f"{'macro':>8}"
-        + "".join(f"{getattr(report, f'macro_{c}'):>12.4f}" for c in columns)
-    )
+        lines += [f"{k}" + "".join(f",{v:.6f}" for v in vs) for k, vs in rows]
+    else:
+        lines = [f"{'class':>8}" + "".join(f"{c.capitalize():>12}" for c in columns)]
+        lines += [f"{k:>8}" + "".join(f"{v:>12.4f}" for v in vs) for k, vs in rows]
     return "\n".join(lines)
 
 

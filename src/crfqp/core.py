@@ -131,47 +131,26 @@ def check_marginals(marginals, num_nodes=None, num_labels=None, tol=1e-9):
 
 
 def check_labeling(labeling, num_nodes, num_labels):
-    """Validate a labeling vector and return it as an int64 array."""
+    """Validate a labeling vector and return it as an int64 array.
+    Values of a non-integer dtype must be integral; integer dtypes skip
+    that check."""
     x = np.asarray(labeling)
     if x.ndim != 1 or x.shape[0] != num_nodes:
         raise ValueError(f"labeling must have shape ({num_nodes},), got {x.shape}")
-    x = x.astype(np.int64)
+    with np.errstate(invalid="ignore"):
+        cast = x.astype(np.int64)
+    # NaN, infinities and out-of-range values cast to something else
+    if x.dtype.kind not in "iub" and not np.array_equal(cast, x):
+        raise ValueError("labels must be integers")
+    x = cast
     if x.size and (x.min() < 0 or x.max() >= num_labels):
         raise ValueError(f"labels must lie in [0, {num_labels})")
     return x
 
 
-def objective(graph, potentials, marginals):
-    """Relaxed objective value at `marginals`.
-
-    Parameters
-    ----------
-    graph : CrfGraph
-    potentials : Potentials
-    marginals : ndarray, shape (num_nodes, num_labels)
-        Rows on the probability simplex.
-
-    Returns
-    -------
-    float
-        Unary term plus the pairwise term counted in both directions of
-        every undirected edge.
-    """
-    _check_dims(graph, potentials)
-    mu = check_marginals(marginals, graph.num_nodes, graph.num_labels)
-    value = float(np.sum(potentials.unary * mu))
-    if graph.num_edges:
-        ea = graph.edges
-        mi = mu[ea[:, 0]]
-        mj = mu[ea[:, 1]]
-        psi = potentials.pairwise
-        value += float(np.einsum("epq,ep,eq->", psi, mi, mj))
-        value += float(np.einsum("epq,ep,eq->", psi, mj, mi))
-    return value
-
-
 def objective_of_labeling(graph, potentials, labeling):
-    """Integer objective: `objective` evaluated at one-hot marginals."""
+    """Objective value of an integer labeling: the module's F at
+    one-hot marginals."""
     _check_dims(graph, potentials)
     x = check_labeling(labeling, graph.num_nodes, graph.num_labels)
     value = float(potentials.unary[np.arange(graph.num_nodes), x].sum())

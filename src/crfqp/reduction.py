@@ -36,7 +36,7 @@ class ConstraintSets:
         normalized = []
         seen = set()
         for s in sets:
-            members = tuple(sorted(int(i) for i in s))
+            members = tuple(sorted(map(_node_index, s)))
             if len(members) < 2:
                 raise ValueError(f"constraint set {members} has fewer than 2 nodes")
             if len(set(members)) != len(members):
@@ -60,6 +60,13 @@ class ConstraintSets:
         for s in self.sets:
             if s[-1] >= num_nodes:
                 raise ValueError(f"constraint set {s} exceeds node count {num_nodes}")
+
+
+def _node_index(i):
+    j = int(i)
+    if j != i:
+        raise ValueError(f"constraint set node {i!r} is not an integer")
+    return j
 
 
 @dataclass(frozen=True)

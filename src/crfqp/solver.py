@@ -8,11 +8,11 @@ nonnegative potentials the update
 
 is a growth transform of the polynomial objective and never decreases
 it, so potentials are first translated entrywise onto a small positive
-floor.  Translating to the floor (rather than lifting only negative
-entries) keeps the iterate sequence independent of any uniform offset
-in the input; the offset is recorded and objectives are reported in the
-original units.  All nodes update synchronously from the previous
-iterate.
+floor, exactly at any offset.  Translating to the floor (rather than
+lifting only negative entries) keeps the iterate sequence independent
+of a uniform offset c in the input, up to the rounding of p + c; the
+offset is recorded and objectives are reported in the original units.
+All nodes update synchronously from the previous iterate.
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .core import Potentials, _check_dims, check_marginals, extract_labeling
+from .core import _check_dims, check_marginals, extract_labeling
 from .reduction import expand_solution, reduce_problem
 
 __all__ = [
@@ -70,48 +70,42 @@ class SolveReport:
     converged: bool
 
 
-@dataclass(frozen=True)
-class ShiftOffsets:
-    """Constants added to every unary / pairwise entry by
-    `shift_to_floor`."""
+def shift_to_floor(unary, pairwise):
+    """Translate `unary` and `pairwise` each so its minimum entry is
+    `FLOOR` exactly, whether that means shifting up or down.
 
-    unary: float
-    pairwise: float
-
-    def objective_offset(self, graph):
-        """Amount by which the shift raises the objective at any point
-        with simplex rows: unary * N + pairwise * 2 * |edges|."""
-        return self.unary * graph.num_nodes + self.pairwise * 2 * graph.num_edges
-
-
-def _floor_offsets(unary, pairwise):
-    """Offsets that move the minimum unary and pairwise entries onto
-    `FLOOR`; `pairwise` may be any array holding every pairwise value."""
-    u_off = FLOOR - unary.min()
-    p_off = FLOOR - pairwise.min() if pairwise.size else 0.0
-    return ShiftOffsets(u_off, p_off)
-
-
-def shift_to_floor(potentials):
-    """Translate each block so its minimum entry equals `FLOOR` exactly,
-    whether that means shifting up or down.
+    `pairwise` is any array holding every pairwise value: (E, K, K)
+    blocks or (E, 2) Potts (diagonal, off-diagonal) weights.  Each array
+    is shifted as (x - min) + FLOOR, whose minimum is (min - min) +
+    FLOOR = FLOOR at any offset; an array already on the floor comes
+    back as the same object, so a second shift is a no-op.
 
     The multiplicative update is not invariant to constants added to its
     gradient, so merely lifting negative entries would make the iterate
     sequence depend on the input's offset.  Pinning the minimum to the
-    floor makes uniformly shifted inputs produce identical effective
-    problems, hence identical trajectories and labelings.
+    floor makes uniformly shifted inputs produce the same effective
+    problem, up to the rounding of the shifted input.
 
-    The decoders shift Potts graphs without this function: they apply
-    the same offsets to the per-edge (diagonal, off-diagonal) weights
-    (see `_decoder_terms`), and call it only for general blocks."""
-    offsets = _floor_offsets(potentials.unary, potentials.pairwise)
-    if offsets.unary == 0.0 and offsets.pairwise == 0.0:
-        return potentials, offsets
-    shifted = Potentials(
-        potentials.unary + offsets.unary, potentials.pairwise + offsets.pairwise
-    )
-    return shifted, offsets
+    Returns (unary, pairwise, offset), where offset is the amount the
+    shift adds to the objective at any point with simplex rows:
+    (FLOOR - min unary) * N + 2 * (FLOOR - min pairwise) * E.
+
+    Raises ValueError when a shifted array is not finite.  The shift is
+    monotone, so that is when (max - min) + FLOOR is not."""
+    offset = 0.0
+    shifted = []
+    for x, count in ((unary, unary.shape[0]), (pairwise, 2 * pairwise.shape[0])):
+        if x.size:
+            low, high = float(x.min()), float(x.max())
+            # NaN fails the comparison; Python floats overflow silently
+            if not (high - low) + FLOOR < np.inf:
+                raise ValueError("potentials must be finite")
+            if low != FLOOR:
+                x = x - low
+                x += FLOOR
+                offset += (FLOOR - low) * count
+        shifted.append(x)
+    return shifted[0], shifted[1], offset
 
 
 def compute_gradient(graph, potentials, marginals):
@@ -215,12 +209,13 @@ def _potts_weights(blocks):
 
 class _DecoderTerms(NamedTuple):
     """What a decoder needs of potentials: the (shifted) unary, the
-    offsets of the shift, and the pairwise sums psi + psi^T of every
-    edge, either as (E, 2) Potts (diagonal, off-diagonal) weights or,
-    when some edge is not Potts, as full (E, K, K) blocks."""
+    amount the shift adds to the objective, and the pairwise sums
+    psi + psi^T of every edge, either as (E, 2) Potts (diagonal,
+    off-diagonal) weights or, when some edge is not Potts, as full
+    (E, K, K) blocks."""
 
     unary: np.ndarray
-    offsets: ShiftOffsets
+    offset: float
     potts: np.ndarray | None
     sums: np.ndarray | None
 
@@ -232,33 +227,24 @@ def _decoder_terms(potentials, shift=True):
 
     A Potts graph (every raw block bitwise Potts) is read once, for the
     check, and then handled as (E, 2) weights: a Potts block holds only
-    its two weights, so `shift_to_floor`'s minimum over the blocks is
-    the minimum over the weights, its shift moves both alike, and
-    psi + psi^T is w + w.  The shifted unary and weights are checked to
-    be finite, as `shift_to_floor` checks the blocks it shifts.  Any
-    other graph goes through `shift_to_floor` and forms the sums in
-    full; it still takes the Potts path when the sums are bitwise
-    Potts, as an asymmetric pair with a Potts symmetric part is."""
-    weights = _potts_weights(potentials.pairwise)
-    if weights is None:
-        if shift:
-            shifted, offsets = shift_to_floor(potentials)
-        else:
-            shifted, offsets = potentials, ShiftOffsets(0.0, 0.0)
-        psi = shifted.pairwise
-        sums = psi + psi.transpose(0, 2, 1)
-        potts = _potts_weights(sums)
-        if potts is not None:
-            sums = None
-        return _DecoderTerms(shifted.unary, offsets, potts, sums)
-    unary, offsets = potentials.unary, ShiftOffsets(0.0, 0.0)
+    its two weights, so `shift_to_floor` on the weights shifts every
+    entry of the blocks alike, and psi + psi^T is w + w.  Any other
+    graph is shifted as blocks and forms the sums in full; it still
+    takes the Potts path when the sums are bitwise Potts, as an
+    asymmetric pair with a Potts symmetric part is."""
+    unary, pairwise, offset = potentials.unary, potentials.pairwise, 0.0
+    weights = _potts_weights(pairwise)
+    if weights is not None:
+        pairwise = weights
     if shift:
-        offsets = _floor_offsets(unary, weights)
-        unary = unary + offsets.unary
-        weights += offsets.pairwise
-        if not (_finite(unary) and _finite(weights)):
-            raise ValueError("potentials must be finite")
-    return _DecoderTerms(unary, offsets, weights + weights, None)
+        unary, pairwise, offset = shift_to_floor(unary, pairwise)
+    if weights is not None:
+        return _DecoderTerms(unary, offset, pairwise + pairwise, None)
+    sums = pairwise + pairwise.transpose(0, 2, 1)
+    potts = _potts_weights(sums)
+    if potts is not None:
+        sums = None
+    return _DecoderTerms(unary, offset, potts, sums)
 
 
 def _directed_pattern(graph):
@@ -347,8 +333,12 @@ def solve(graph, potentials, config=None, callback=None):
     ----------
     graph : CrfGraph
     potentials : Potentials
-        Arbitrary finite scores; translated internally onto the floor of
-        `shift_to_floor`, so uniformly shifted inputs solve identically.
+        Arbitrary finite scores; translated internally so the minimum
+        unary and the minimum pairwise entry are exactly `FLOOR`
+        (`shift_to_floor`).  Inputs moved by a uniform offset c solve
+        the same up to the rounding of p + c: the shifted potentials,
+        and so the marginals, drift by about |c| * eps relative to the
+        scale of the potentials.
     config : SolverConfig, optional
     callback : callable, optional
         Called as callback(iteration, marginals) after every update.
@@ -390,7 +380,6 @@ def solve(graph, potentials, config=None, callback=None):
         config = SolverConfig()
     _check_dims(graph, potentials)
     terms = _decoder_terms(potentials)
-    offset = terms.offsets.objective_offset(graph)
     matvec = _quadratic_operator(graph, terms)
     b = terms.unary
     b_flat = b.ravel()
@@ -399,7 +388,7 @@ def solve(graph, potentials, config=None, callback=None):
     mu = _initial_marginals(b, config.init)
     change = np.empty_like(mu)
     a, qa = mu.ravel(), matvec(mu)
-    trace = [float(b_flat @ a + a @ qa.ravel()) - offset]
+    trace = [float(b_flat @ a + a @ qa.ravel()) - terms.offset]
     converged = False
     iterations = 0
     for it in range(1, config.max_iterations + 1):
@@ -421,7 +410,7 @@ def solve(graph, potentials, config=None, callback=None):
         delta = float(max(high, -low))
         mu = new_mu
         a, qa = mu.ravel(), matvec(mu)
-        trace.append(float(b_flat @ a + a @ qa.ravel()) - offset)
+        trace.append(float(b_flat @ a + a @ qa.ravel()) - terms.offset)
         iterations = it
         if callback is not None:
             callback(it, mu)

@@ -19,6 +19,7 @@ from crfqp import (
     extract_labeling,
     objective_of_labeling,
 )
+from crfqp.core import _check_dims, check_marginals
 from crfqp.solver import SolveReport, SolverFailure, shift_to_floor
 
 
@@ -94,6 +95,23 @@ def random_disjoint_sets(rng, num_nodes, max_sets=3):
         if rng.uniform() < 0.3:
             break
     return sets
+
+
+def objective(graph, potentials, marginals):
+    """Relaxed objective value at `marginals` (rows on the probability
+    simplex): the unary term plus the pairwise term counted in both
+    directions of every undirected edge, by einsum over the edges."""
+    _check_dims(graph, potentials)
+    mu = check_marginals(marginals, graph.num_nodes, graph.num_labels)
+    value = float(np.sum(potentials.unary * mu))
+    if graph.num_edges:
+        ea = graph.edges
+        mi = mu[ea[:, 0]]
+        mj = mu[ea[:, 1]]
+        psi = potentials.pairwise
+        value += float(np.einsum("epq,ep,eq->", psi, mi, mj))
+        value += float(np.einsum("epq,ep,eq->", psi, mj, mi))
+    return value
 
 
 def naive_objective(graph, potentials, mu):
@@ -273,11 +291,11 @@ def dense_lbp(graph, potentials, max_iters=200, damping=0.5):
     that `lbp_map` must reproduce bit for bit, raising `SolverFailure`
     at the same iteration when the messages turn non-finite."""
     n, k = graph.num_nodes, graph.num_labels
-    shifted, _ = shift_to_floor(potentials)
+    unary, pairwise, _ = shift_to_floor(potentials.unary, potentials.pairwise)
 
     num_e = graph.num_edges
     if num_e == 0:
-        labeling = extract_labeling(shifted.unary)
+        labeling = extract_labeling(unary)
         value = objective_of_labeling(graph, potentials, labeling)
         return labeling, SolveReport(0, value, [value], True)
 
@@ -285,7 +303,7 @@ def dense_lbp(graph, potentials, max_iters=200, damping=0.5):
     src = np.concatenate([ea[:, 0], ea[:, 1]])
     tgt = np.concatenate([ea[:, 1], ea[:, 0]])
     rev = np.concatenate([np.arange(num_e) + num_e, np.arange(num_e)])
-    sym2 = shifted.pairwise + shifted.pairwise.transpose(0, 2, 1)
+    sym2 = pairwise + pairwise.transpose(0, 2, 1)
     psi_dir = np.concatenate([sym2, sym2.transpose(0, 2, 1)])  # (x_src, x_tgt)
 
     messages = np.zeros((2 * num_e, k))
@@ -295,7 +313,7 @@ def dense_lbp(graph, potentials, max_iters=200, damping=0.5):
     converged = False
     iterations = 0
     for it in range(1, max_iters + 1):
-        beliefs = shifted.unary.copy()
+        beliefs = unary.copy()
         np.add.at(beliefs, tgt, messages)
 
         base = beliefs[src] - messages[rev]
@@ -318,7 +336,7 @@ def dense_lbp(graph, potentials, max_iters=200, damping=0.5):
             converged = True
             break
 
-    beliefs = shifted.unary.copy()
+    beliefs = unary.copy()
     np.add.at(beliefs, tgt, messages)
     labeling = extract_labeling(beliefs)
     value = objective_of_labeling(graph, potentials, labeling)

@@ -6,9 +6,21 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import crfqp
 import crfqp.cli as cli
-from crfqp import SolverConfig, evaluate_scene, generate_scene
+import crfqp.solver as solver
+from crfqp import (
+    ConstraintSets,
+    ProblemFile,
+    SolverConfig,
+    evaluate_scene,
+    generate_scene,
+    load_problem,
+    save_problem,
+)
+from helpers import random_instance
 
 # Module -> the public names its `__all__` declares.
 PUBLIC = {
@@ -102,3 +114,29 @@ def test_each_decoder_call_passes_one_benchmark_tap(tmp_path):
     assert counts == {"qp": 1, "cqp": 1, "lbp": 1, "reduce": 1}
     counts = {key: len(calls) for key, calls in from_scene.items()}
     assert counts == {"qp": 1, "cqp": 1, "lbp": 1, "sets": 1, "reduce": 1}
+
+
+def test_each_decoder_call_shifts_once(tmp_path, monkeypatch):
+    # The benchmark times `solver.shift_to_floor` as its own layer, so
+    # every decoder must shift through it, on Potts and general input.
+    potts = tmp_path / "potts.json"
+    synth = ["synth", "--width", "12", "--height", "10", "--objects", "2"]
+    assert cli.main(synth + ["--labels", "4", "--seed", "3", "--out", str(potts)]) == 0
+    graph, pot = random_instance(np.random.default_rng(2), 30, 4, edge_prob=0.2)
+    general = tmp_path / "general.json"
+    save_problem(ProblemFile(graph, pot, ConstraintSets([(0, 1, 2)]), None), general)
+    shift, calls = solver.shift_to_floor, []
+
+    def counted(*args):
+        calls.append(args)
+        return shift(*args)
+
+    monkeypatch.setattr(solver, "shift_to_floor", counted)
+    for path, is_potts in ((potts, True), (general, False)):
+        terms = solver._decoder_terms(load_problem(path).potentials, shift=False)
+        assert (terms.potts is not None) == is_potts
+        for name in ("qp", "cqp", "lbp"):
+            calls.clear()
+            argv = ["solve", str(path), "--solver", name, "--max-iters", "5"]
+            assert cli.main(argv + ["--output", str(tmp_path / "x.labels")]) == 0
+            assert len(calls) == 1, (path.name, name)

@@ -261,10 +261,10 @@ def test_lbp_matches_dense_reference_at_extreme_scales_and_offsets():
                 scale * pot.unary + offset, scale * pot.pairwise + offset
             )
             # the grid argument of two-pass damping: every shifted value
-            # is 0 or at least 2^-30
+            # is at least 2^-30
             terms = _decoder_terms(moved)
             for values in (terms.unary, terms.potts if terms.sums is None else terms.sums):
-                assert np.all((values == 0.0) | (values >= 2.0**-30))
+                assert values.min() >= 2.0**-30
             assert _halves(graph, moved)
             _assert_same_run(graph, moved, max_iters=80)
 

@@ -162,8 +162,22 @@ def test_eval_table_and_csv(tmp_path, capsys):
     perfect = capsys.readouterr().out
     assert perfect.splitlines()[-1].split() == ["macro"] + ["1.0000"] * 4
 
+    assert cli.main(["eval", str(pred), str(truth)]) == 0
+    assert capsys.readouterr().out == (
+        "   class   Precision      Recall    Accuracy          F1\n"
+        "       0      0.6667      1.0000      0.7500      0.8000\n"
+        "       1      1.0000      0.5000      0.7500      0.6667\n"
+        "   macro      0.8333      0.7500      0.7500      0.7333\n"
+    )
     assert cli.main(["eval", str(pred), str(truth), "--format", "csv"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
+    csv = capsys.readouterr().out
+    assert csv == (
+        "class,precision,recall,accuracy,f1\n"
+        "0,0.666667,1.000000,0.750000,0.800000\n"
+        "1,1.000000,0.500000,0.750000,0.666667\n"
+        "macro,0.833333,0.750000,0.750000,0.733333\n"
+    )
+    lines = csv.strip().splitlines()
     assert lines[0] == "class,precision,recall,accuracy,f1"
     assert lines[-1].startswith("macro,")
     class0 = dict(zip(lines[0].split(",")[1:], lines[1].split(",")[1:]))

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from crfqp import CrfGraph, Potentials, extract_labeling, objective_of_labeling
-from crfqp.core import check_labeling, check_marginals, objective
-from helpers import naive_objective, quad_objective, random_instance, random_marginals
+from crfqp.core import check_labeling, check_marginals
+from helpers import (
+    naive_objective,
+    objective,
+    quad_objective,
+    random_instance,
+    random_marginals,
+)
 
 
 def test_single_node_unary_objective():
@@ -150,3 +156,14 @@ def test_check_labeling_bounds():
         check_labeling([0, 2], 2, 2)
     with pytest.raises(ValueError, match="shape"):
         check_labeling([0, 1], 3, 2)
+
+
+def test_non_integral_labels_are_rejected():
+    graph = CrfGraph(2, 2, [(0, 1)])
+    pot = Potentials(np.zeros((2, 2)), [np.eye(2)])
+    # truncation would score [0, 1], which is worth 0.0, not an error
+    for bad in ([0.9, 1.7], [0.0, np.nan], [np.inf, 0.0], [1e30, 0.0]):
+        with pytest.raises(ValueError, match="labels must be integers"):
+            objective_of_labeling(graph, pot, bad)
+    assert check_labeling([1.0, 0.0], 2, 2).tolist() == [1, 0]
+    assert check_labeling(np.array([1, 0], dtype=np.uint8), 2, 2).dtype == np.int64

@@ -63,6 +63,13 @@ def test_constraint_sets_validation():
         sets.check_bounds(4)
 
 
+def test_constraint_sets_reject_non_integral_nodes():
+    # truncation would merge nodes 0 and 1
+    with pytest.raises(ValueError, match="node 1.5 is not an integer"):
+        ConstraintSets([[0, 1.5]])
+    assert ConstraintSets([[np.int64(3), 2.0]]).sets == ((2, 3),)
+
+
 def test_supernode_numbering_by_first_appearance():
     graph = CrfGraph(4, 2)
     mapping = build_null_space_operator(graph, ConstraintSets([(1, 2)]))

@@ -21,10 +21,8 @@ from crfqp import (
     solve,
     solve_constrained,
 )
-from crfqp.core import objective
 from crfqp.potentials import pairwise_potential
 from crfqp.solver import (
-    ShiftOffsets,
     _decoder_terms,
     _general_csr,
     _initial_marginals,
@@ -38,6 +36,7 @@ from helpers import (
     dense_lbp,
     fd_gradient,
     loop_pairwise_matvec,
+    objective,
     random_disjoint_sets,
     random_graph,
     random_instance,
@@ -48,25 +47,23 @@ from helpers import (
 
 def test_shift_lowers_positive_minimum_to_floor():
     pot = Potentials([[1.0, 2.0]], [np.array([[3.0, 4.0], [5.0, 6.0]])])
-    shifted, offsets = shift_to_floor(pot)
-    assert offsets.unary == 1e-9 - 1.0
-    assert offsets.pairwise == 1e-9 - 3.0
-    assert shifted.unary.min() == pytest.approx(1e-9, rel=1e-6)
-    assert shifted.pairwise.min() == pytest.approx(1e-9, rel=1e-6)
-    # a problem already on the floor comes back unchanged
+    unary, pairwise, offset = shift_to_floor(pot.unary, pot.pairwise)
+    assert offset == (1e-9 - 1.0) * 1 + (1e-9 - 3.0) * 2
+    assert unary.min() == 1e-9
+    assert pairwise.min() == 1e-9
+    # arrays already on the floor come back unchanged
     on_floor = Potentials([[1e-9, 2.0]], [np.array([[1e-9, 4.0], [5.0, 6.0]])])
-    same, offsets = shift_to_floor(on_floor)
-    assert same is on_floor
-    assert offsets.unary == 0.0 and offsets.pairwise == 0.0
+    unary, pairwise, offset = shift_to_floor(on_floor.unary, on_floor.pairwise)
+    assert unary is on_floor.unary and pairwise is on_floor.pairwise
+    assert offset == 0.0
 
 
 def test_shift_lifts_minimum_to_epsilon():
     pot = Potentials([[-2.0, 1.0]], [np.array([[0.5, -0.25], [0.0, 0.0]])])
-    shifted, offsets = shift_to_floor(pot)
-    assert offsets.unary == pytest.approx(2.0 + 1e-9, rel=1e-12)
-    assert offsets.pairwise == pytest.approx(0.25 + 1e-9, rel=1e-12)
-    assert shifted.unary.min() == pytest.approx(1e-9, rel=1e-6)
-    assert shifted.pairwise.min() == pytest.approx(1e-9, rel=1e-6)
+    unary, pairwise, offset = shift_to_floor(pot.unary, pot.pairwise)
+    assert offset == pytest.approx((2.0 + 1e-9) * 1 + (0.25 + 1e-9) * 2, rel=1e-12)
+    assert unary.min() == 1e-9
+    assert pairwise.min() == 1e-9
 
 
 def test_shift_offset_accounts_for_objective_change():
@@ -74,13 +71,32 @@ def test_shift_offset_accounts_for_objective_change():
     # negative minima are lifted, positive ones lowered
     for low, high in ((-1.0, 1.0), (0.5, 2.0)):
         graph, pot = random_instance(rng, 5, 3, edge_prob=0.6, low=low, high=high)
-        shifted, offsets = shift_to_floor(pot)
-        delta = offsets.objective_offset(graph)
+        unary, pairwise, delta = shift_to_floor(pot.unary, pot.pairwise)
+        shifted = Potentials(unary, pairwise)
         for _ in range(10):
             mu = random_marginals(rng, 5, 3)
             assert objective(graph, shifted, mu) - objective(
                 graph, pot, mu
             ) == pytest.approx(delta, abs=1e-9)
+
+
+def test_shift_lands_exactly_on_the_floor_at_any_offset():
+    rng = np.random.default_rng(5)
+    graph, pot = random_instance(rng, 12, 3, edge_prob=0.5)
+    _, potts = random_potts_instance(rng, 12, 3, edge_prob=0.5)
+    for c in (0.0, 1e7, 1e9, 1e12, -1e12):
+        # the general path, on the blocks
+        unary, pairwise, _ = shift_to_floor(pot.unary + c, pot.pairwise + c)
+        assert unary.min() == 1e-9 and pairwise.min() == 1e-9
+        again = shift_to_floor(unary, pairwise)
+        assert again[0] is unary and again[1] is pairwise and again[2] == 0.0
+        # the Potts path, on the (diagonal, off-diagonal) weights
+        moved = Potentials(potts.unary + c, potts.pairwise + c)
+        terms = _decoder_terms(moved)
+        assert terms.sums is None
+        assert terms.unary.min() == 1e-9 and terms.potts.min() == 2e-9
+        unary, _, offset = shift_to_floor(terms.unary, 0.5 * terms.potts)
+        assert unary is terms.unary and offset == 0.0
 
 
 def test_gradient_without_edges_is_the_unary():
@@ -128,7 +144,7 @@ def _assert_steps_along_compute_gradient(graph, pot, iterations):
     )
     assert len(steps) == iterations
     assert len({id(mu) for mu in steps}) == iterations
-    shifted, _ = shift_to_floor(pot)
+    shifted = Potentials(*shift_to_floor(pot.unary, pot.pairwise)[:2])
     prev = _initial_marginals(shifted.unary, "uniform")
     for got in steps:
         expected = iterate(prev, compute_gradient(graph, shifted, prev))
@@ -294,7 +310,7 @@ def test_potts_is_decided_from_the_raw_blocks():
     unary = np.ones((3, k))
     unary[0, 0] = floor
     terms = _decoder_terms(Potentials(unary, pairwise))
-    assert terms.offsets == ShiftOffsets(0.0, 0.0) and terms.sums is None
+    assert terms.offset == 0.0 and terms.sums is None
     assert terms.potts.tolist() == [[2 * floor, 2 * floor], [2 * d, 2 * o]]
     for p in range(k):
         for q in range(k):
@@ -327,7 +343,7 @@ def test_asymmetric_blocks_with_a_potts_symmetric_part_take_the_potts_path():
     steps = []
     config = SolverConfig(max_iterations=5, tol=1e-300)
     solve(graph, pot, config, callback=lambda _, mu: steps.append(mu.copy()))
-    shifted, _ = shift_to_floor(pot)
+    shifted = Potentials(*shift_to_floor(pot.unary, pot.pairwise)[:2])
     prev = _initial_marginals(shifted.unary, "uniform")
     for got in steps:
         np.testing.assert_array_equal(got, iterate(prev, compute_gradient(graph, shifted, prev)))
