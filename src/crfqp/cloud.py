@@ -6,6 +6,7 @@ discarded, and each remaining cluster is projected onto graph nodes to
 form one label-consistency constraint set.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +28,11 @@ __all__ = [
 # this fraction of the cloud; smaller planes are reported but not removed.
 GROUND_MIN_FRACTION = 0.5
 
-# Most candidate planes scored at once, so scoring holds a 16 x points
-# distance block instead of a candidates x points matrix.
-_PLANE_BLOCK = 16
+# Bytes of each float buffer that plane scoring reuses, block after
+# block.  The candidate rows per block follow from the point count: 8 at
+# about 7,750 points.  Memory then follows the points, not the
+# candidates, and the buffers stay in cache.
+_SCORE_BUFFER_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -41,13 +44,18 @@ class CloudParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if (
-            self.ransac_iterations <= 0
-            or self.plane_inlier_threshold <= 0
-            or self.cluster_radius <= 0
-            or self.min_cluster_size <= 0
-        ):
-            raise ValueError("cloud parameters must be positive")
+        for name in ("ransac_iterations", "min_cluster_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value <= 0:
+                raise ValueError(f"CloudParams.{name} must be a positive integer, got {value!r}")
+        for name in ("plane_inlier_threshold", "cluster_radius"):
+            value = getattr(self, name)
+            # NaN fails the comparison
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and 0 < value < np.inf):
+                raise ValueError(
+                    f"CloudParams.{name} must be a finite positive number, got {value!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -66,9 +74,16 @@ class NodeProjection:
     mapping: np.ndarray
 
     def __init__(self, mapping):
-        mapping = np.asarray(mapping, dtype=np.int64)
-        if mapping.ndim != 1:
+        raw = np.asarray(mapping)
+        if raw.ndim != 1:
             raise ValueError("projection mapping must be 1-D")
+        if raw.dtype.kind == "b":
+            raise ValueError("projection mapping must hold node indices, not booleans")
+        with np.errstate(invalid="ignore"):
+            mapping = raw.astype(np.int64)
+        # NaN, infinities and fractions cast to something else
+        if raw.dtype.kind not in "iu" and not np.array_equal(mapping, raw):
+            raise ValueError("projection mapping must hold integer node indices")
         object.__setattr__(self, "mapping", mapping)
 
 
@@ -81,15 +96,34 @@ def _as_points(cloud):
     return pts
 
 
-def _plane_distances(pts, normals, offsets):
-    """(planes, points) matrix of point-to-plane distances, computed
-    elementwise so each row is the same whichever planes share it."""
-    x, y, z = pts.T
-    dists = normals[:, :1] * x
-    dists += normals[:, 1:2] * y
-    dists += normals[:, 2:] * z
-    dists += offsets[:, None]
-    return np.abs(dists, out=dists)
+def _plane_inliers(coords, normals, offsets, threshold):
+    """Yield (start, inlier) per block of candidate planes: inlier[r, p]
+    says point p lies within `threshold` of plane start + r.
+
+    `coords` holds x, y and z as contiguous rows.  Every block is
+    computed in the same two float buffers and one bool buffer, and
+    each element goes through nx*x + ny*y + nz*z + offset, abs and
+    <= threshold in that order, so a mask is the same whichever planes
+    share its block.  Each yielded mask is overwritten by the next
+    block.
+    """
+    x, y, z = coords
+    planes, points = normals.shape[0], coords.shape[1]
+    rows = min(planes, max(1, _SCORE_BUFFER_BYTES // (8 * points)))
+    dist = np.empty((rows, points))
+    term = np.empty((rows, points))
+    inlier = np.empty((rows, points), dtype=bool)
+    for start in range(0, planes, rows):
+        block = slice(start, start + rows)
+        nx, ny, nz = normals[block].T[..., None]
+        size = nx.shape[0]
+        d, t, m = dist[:size], term[:size], inlier[:size]
+        np.multiply(nx, x, out=d)
+        d += np.multiply(ny, y, out=t)
+        d += np.multiply(nz, z, out=t)
+        d += offsets[block, None]
+        np.abs(d, out=d)
+        yield start, np.less_equal(d, threshold, out=m)
 
 
 def remove_ground_plane(cloud, params):
@@ -122,20 +156,21 @@ def remove_ground_plane(cloud, params):
     offsets = -np.einsum("ij,ij->i", normals, p0[valid])
 
     threshold = params.plane_inlier_threshold
-    blocks = [slice(b, b + _PLANE_BLOCK) for b in range(0, normals.shape[0], _PLANE_BLOCK)]
-    counts = np.concatenate(
-        [(_plane_distances(pts, normals[b], offsets[b]) <= threshold).sum(axis=1) for b in blocks]
-    )
+    coords = np.ascontiguousarray(pts.T)
+    counts = np.empty(normals.shape[0], dtype=np.int64)
+    for start, inlier in _plane_inliers(coords, normals, offsets, threshold):
+        for row, mask in enumerate(inlier, start):
+            counts[row] = np.count_nonzero(mask)
 
     best = counts.max()
     near_best = np.nonzero(counts >= int(np.ceil(0.99 * best)))[0]
     chosen = near_best[np.argmax(np.abs(normals[near_best, 2]))]
     plane = PlaneModel(normals[chosen].copy(), float(offsets[chosen]))
 
-    column = slice(chosen, chosen + 1)
-    inlier = _plane_distances(pts, normals[column], offsets[column])[0] <= threshold
-    if inlier.sum() >= GROUND_MIN_FRACTION * n:
-        kept = np.nonzero(~inlier)[0]
+    if counts[chosen] >= GROUND_MIN_FRACTION * n:
+        column = slice(chosen, chosen + 1)
+        _, inlier = next(_plane_inliers(coords, normals[column], offsets[column], threshold))
+        kept = np.nonzero(~inlier[0])[0]
     else:
         kept = np.arange(n)
     return plane, kept
@@ -156,17 +191,12 @@ def euclidean_cluster(points, cluster_radius):
         return []
     tree = cKDTree(pts)
     pairs = tree.query_pairs(cluster_radius, output_type="ndarray")
-    if pairs.size:
-        adj = sp.coo_matrix(
-            (np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])), shape=(n, n)
-        )
-        _, component = connected_components(adj, directed=False)
-    else:
-        component = np.arange(n)
-    clusters = {}
-    for idx, c in enumerate(component):
-        clusters.setdefault(int(c), []).append(idx)
-    return sorted(clusters.values(), key=lambda members: members[0])
+    adj = sp.coo_matrix((np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    _, component = connected_components(adj, directed=False)
+    # a stable sort keeps each cluster's members in increasing order
+    order = np.argsort(component, kind="stable")
+    members = np.split(order, np.flatnonzero(np.diff(component[order])) + 1)
+    return sorted((m.tolist() for m in members), key=lambda m: m[0])
 
 
 def build_constraint_sets(cloud, params, projection):
@@ -192,10 +222,10 @@ def build_constraint_sets(cloud, params, projection):
     for members in clusters:
         if len(members) < params.min_cluster_size:
             continue
-        nodes = {int(mapping[kept[m]]) for m in members}
-        nodes.discard(-1)
-        if len(nodes) >= 2:
-            node_sets.append(nodes)
+        nodes = np.unique(mapping[kept[members]])
+        nodes = nodes[nodes != -1]
+        if nodes.size >= 2:
+            node_sets.append(set(nodes.tolist()))
 
     merged = _merge_overlapping(node_sets)
     return ConstraintSets(sorted(sorted(s) for s in merged))

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from crfqp import cloud as cloud_module
 from crfqp import (
     CloudParams,
     NodeProjection,
@@ -64,36 +65,61 @@ def test_ground_removal_is_deterministic():
     assert plane_a.offset == plane_b.offset
 
 
-def test_ground_removal_matches_full_matrix_oracle():
+def test_ground_removal_matches_full_matrix_oracle(monkeypatch):
     rng = np.random.default_rng(13)
     cases = []
     for seed in range(20):
         scene = generate_scene(24, 24, num_objects=3, num_labels=4, seed=seed)
         cases.append((scene.cloud, CloudParams(rng_seed=seed)))
-    # candidate counts on both sides of a block boundary, and one plane
-    for iterations in (1, 2, 15, 16, 17, 33, 200):
+    # candidate counts on both sides of a block boundary, at the default
+    # block size and at 3 rows per block, and one plane
+    rows = 3
+    for iterations in (1, 2, 15, 16, 17, 33, 200, rows - 1, rows, rows + 1, 2 * rows + 1):
         cloud = np.vstack([grid_plane(15), blob(rng, (3.0, 3.0, 2.0), 80)])
         cloud += rng.normal(scale=0.05, size=cloud.shape)
         cases.append((cloud, CloudParams(ransac_iterations=iterations, rng_seed=iterations)))
+    default_budget = cloud_module._SCORE_BUFFER_BYTES
     for cloud, params in cases:
-        plane, kept = remove_ground_plane(cloud, params)
         normal, offset, want_kept = full_matrix_ground_plane(cloud, params)
-        assert np.array_equal(plane.normal, normal)
-        assert plane.offset == offset
-        assert np.array_equal(kept, want_kept)
+        for budget in (default_budget, rows * 8 * len(cloud)):
+            monkeypatch.setattr(cloud_module, "_SCORE_BUFFER_BYTES", budget)
+            plane, kept = remove_ground_plane(cloud, params)
+            assert np.array_equal(plane.normal, normal)
+            assert plane.offset == offset
+            assert np.array_equal(kept, want_kept)
+
+
+def test_ground_removal_ignores_memory_layout():
+    scene = generate_scene(24, 24, num_objects=3, num_labels=4, seed=3)
+    cloud = np.ascontiguousarray(scene.cloud)
+    padded = np.zeros((2 * len(cloud), 5))
+    padded[::2, 1:4] = cloud
+    params = CloudParams(rng_seed=3)
+    plane, kept = remove_ground_plane(cloud, params)
+    assert kept.size < len(cloud)
+    for layout in (np.asfortranarray(cloud), padded[::2, 1:4]):
+        assert not layout.flags.c_contiguous
+        other_plane, other_kept = remove_ground_plane(layout, params)
+        assert other_plane.normal.tobytes() == plane.normal.tobytes()
+        assert other_plane.offset == plane.offset
+        assert np.array_equal(other_kept, kept)
 
 
 def test_ground_removal_memory_is_linear_in_points():
     rng = np.random.default_rng(17)
     cloud = np.vstack([grid_plane(80, spacing=0.25), blob(rng, (5.0, 5.0, 3.0), 1600)])
-    tracemalloc.start()
-    try:
-        remove_ground_plane(cloud, CloudParams(ransac_iterations=500))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peaks = {}
+    for iterations in (50, 500):
+        tracemalloc.start()
+        try:
+            remove_ground_plane(cloud, CloudParams(ransac_iterations=iterations))
+            peaks[iterations] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     # a points x candidates distance matrix alone would be 30 MB
-    assert peak < 12 * 2**20
+    assert peaks[500] < 12 * 2**20
+    # ten times the candidates cost only their (candidates, 3) arrays
+    assert peaks[500] < 1.05 * peaks[50]
 
 
 def test_degenerate_clouds_are_rejected():
@@ -115,6 +141,36 @@ def test_cloud_params_must_be_positive():
         CloudParams(cluster_radius=0.0)
     with pytest.raises(ValueError, match="positive"):
         CloudParams(min_cluster_size=-1)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("plane_inlier_threshold", float("nan")),
+        ("plane_inlier_threshold", float("inf")),
+        ("cluster_radius", float("nan")),
+        ("cluster_radius", True),
+        ("cluster_radius", "0.5"),
+        ("min_cluster_size", 1.5),
+        ("min_cluster_size", True),
+        ("ransac_iterations", 2.5),
+        ("ransac_iterations", True),
+        ("ransac_iterations", 500.0),
+    ],
+)
+def test_cloud_params_reject_bad_values_by_field(field, value):
+    with pytest.raises(ValueError, match=f"CloudParams.{field} "):
+        CloudParams(**{field: value})
+
+
+def test_cloud_params_accept_numpy_scalars():
+    params = CloudParams(
+        ransac_iterations=np.int64(20),
+        plane_inlier_threshold=np.float32(0.2),
+        cluster_radius=1,
+        min_cluster_size=np.int32(3),
+    )
+    assert params.ransac_iterations == 20
 
 
 def test_cluster_separates_far_blobs():
@@ -208,6 +264,14 @@ def test_single_node_clusters_are_dropped():
 def test_projection_validation():
     with pytest.raises(ValueError, match="1-D"):
         NodeProjection(np.zeros((3, 2), dtype=int))
+    for fractional in ([0.5, 1.7, -1], [0.0, np.nan], [np.inf, 1.0]):
+        with pytest.raises(ValueError, match="integer node indices"):
+            NodeProjection(fractional)
+    with pytest.raises(ValueError, match="booleans"):
+        NodeProjection(np.array([True, False]))
+    # integral floats and every integer dtype are node indices
+    assert NodeProjection([2.0, -1.0, 0.0]).mapping.tolist() == [2, -1, 0]
+    assert NodeProjection(np.array([3, 1], dtype=np.uint8)).mapping.dtype == np.int64
     proj = NodeProjection([0, 1, 5])
     cloud = np.zeros((4, 3))
     with pytest.raises(ValueError, match="covers 3 points, cloud has 4"):

@@ -21,6 +21,7 @@ from crfqp import (
     solve,
     solve_constrained,
 )
+from crfqp.core import check_marginals
 from crfqp.potentials import pairwise_potential
 from crfqp.solver import (
     _decoder_terms,
@@ -567,3 +568,121 @@ def test_constrained_solve_never_splits_a_set():
             assert len(values) == 1
             for i in members[1:]:
                 np.testing.assert_array_equal(mu[i], mu[members[0]])
+
+
+# Property tests of the floor shift's envelope: inputs at scales from
+# 1e-12 to 1e8, pre-rounded at offsets up to 1e12 as (p + c) - c, on the
+# Potts and the general path, on the shapes where a shift or a step is
+# most likely to break.
+PROPERTY_SCALES = (1e-12, 1e-4, 1.0, 1e8)
+PROPERTY_OFFSETS = (0.0, 1e6, 1e12, -1e12)
+PROPERTY_CONFIG = SolverConfig(max_iterations=60, tol=1e-6)
+
+
+PROPERTY_GRAPHS = [
+    pytest.param(CrfGraph(6, 2, [(i, i + 1) for i in range(5)] + [(0, 5)]), [(1, 4)], id="K=2"),
+    pytest.param(CrfGraph(1, 3), [], id="N=1"),
+    pytest.param(CrfGraph(5, 3), [(0, 2)], id="edgeless"),
+    pytest.param(
+        CrfGraph(6, 3, [(0, 1), (1, 2), (3, 4), (4, 5)]), [(0, 5)], id="disconnected"
+    ),
+    pytest.param(CrfGraph(5, 3, [(0, 1), (1, 2), (2, 3), (3, 4)]), [range(5)], id="one-set"),
+]
+
+
+def _property_potentials(rng, graph, path, scale, offset):
+    """Potentials (p + c) - c with p drawn at `scale`: tied (every entry
+    equal), Potts (one diagonal and one off-diagonal value per edge) or
+    general (every block entry drawn)."""
+    n, k, e = graph.num_nodes, graph.num_labels, graph.num_edges
+    if path == "tied":
+        unary = np.full((n, k), scale)
+        pairwise = np.full((e, k, k), scale)
+    else:
+        unary = rng.uniform(-scale, scale, size=(n, k))
+        if path == "potts":
+            diag = rng.uniform(-scale, scale, size=(e, 1, 1))
+            off = rng.uniform(-scale, scale, size=(e, 1, 1))
+            pairwise = np.where(np.eye(k, dtype=bool), diag, off)
+        else:
+            pairwise = rng.uniform(-scale, scale, size=(e, k, k))
+    return Potentials((unary + offset) - offset, (pairwise + offset) - offset)
+
+
+def _uniform_start(n, k):
+    # the documented start: 1/k + 1e-6 * (m % 7) / 7 per flat entry m
+    flat = np.arange(n * k, dtype=np.float64)
+    start = 1.0 / k + 1e-6 * (np.remainder(flat, 7.0) / 7.0).reshape(n, k)
+    return start / start.sum(axis=1, keepdims=True)
+
+
+def _shifted_scale(graph, pot):
+    """A bound on the shifted objective: every shifted entry lies within
+    the spread of its array plus the floor."""
+    spread = [np.ptp(x) + 1e-9 if x.size else 0.0 for x in (pot.unary, pot.pairwise)]
+    return graph.num_nodes * spread[0] + 2 * graph.num_edges * spread[1]
+
+
+def _assert_solve_properties(mu, report, iterates, config, scale):
+    """Simplex rows, a trace that never falls beyond roundoff at `scale`,
+    the size of the shifted objective, and a stop that `converged` and
+    `iterations` explain exactly."""
+    for x in [mu, *iterates]:
+        check_marginals(x)
+    assert iterates[-1] is mu or report.iterations == 0
+    trace = np.asarray(report.objective_trace)
+    assert trace.shape == (report.iterations + 1,)
+    assert report.final_objective == trace[-1]
+    # the shifted objective's roundoff, plus the rounding of subtracting
+    # the shift's offset, which moves every entry by up to an ulp
+    slack = 1e-12 * scale + 4 * np.spacing(np.abs(trace).max())
+    assert np.diff(trace).min(initial=0.0) >= -slack
+    previous = [_uniform_start(*mu.shape), *iterates[:-1]]
+    changes = [float(np.abs(b - a).max()) for a, b in zip(previous, iterates)]
+    assert len(changes) == report.iterations >= 1
+    assert all(c >= config.tol for c in changes[:-1])
+    if report.converged:
+        assert changes[-1] < config.tol
+    else:
+        assert changes[-1] >= config.tol
+        assert report.iterations == config.max_iterations
+
+
+@pytest.mark.parametrize("graph, sets", PROPERTY_GRAPHS)
+def test_solve_properties_hold_across_scales_and_offsets(graph, sets):
+    rng = np.random.default_rng(61)
+    sets = ConstraintSets(sets)
+    for path in ("tied", "potts", "general"):
+        for scale in PROPERTY_SCALES:
+            for offset in PROPERTY_OFFSETS:
+                pot = _property_potentials(rng, graph, path, scale, offset)
+                bound = _shifted_scale(graph, pot)
+                iterates = []
+                mu, report = solve(
+                    graph, pot, PROPERTY_CONFIG, callback=lambda _, m: iterates.append(m)
+                )
+                _assert_solve_properties(mu, report, iterates, PROPERTY_CONFIG, bound)
+                if path == "tied":
+                    # the uniform start's perturbation is the only signal
+                    assert report.iterations >= 1
+
+                reduced = []
+                mu_c, labeling, report_c = solve_constrained(
+                    graph, pot, sets, PROPERTY_CONFIG, callback=lambda _, m: reduced.append(m)
+                )
+                _assert_solve_properties(reduced[-1], report_c, reduced, PROPERTY_CONFIG, bound)
+                check_marginals(mu_c, graph.num_nodes, graph.num_labels)
+                assert labeling.tolist() == extract_labeling(mu_c).tolist()
+                for members in sets:
+                    assert len({int(labeling[i]) for i in members}) == 1
+                    for i in members:
+                        assert np.array_equal(mu_c[i], mu_c[members[0]])
+
+                # pre-rounded inputs take their offset back exactly, so both
+                # shift to the same floor-relative potentials and solve alike
+                lifted = Potentials(pot.unary + offset, pot.pairwise + offset)
+                assert np.array_equal(lifted.unary - offset, pot.unary)
+                assert np.array_equal(lifted.pairwise - offset, pot.pairwise)
+                mu_l, report_l = solve(graph, lifted, PROPERTY_CONFIG)
+                assert mu_l.tobytes() == mu.tobytes()
+                assert report_l.iterations == report.iterations
