@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .reduction import ConstraintSets
 
@@ -185,6 +183,10 @@ def euclidean_cluster(points, cluster_radius):
     ordered by smallest member, so the output is independent of point
     order.
     """
+    # imported here, as in `build_edges`
+    from scipy.sparse.csgraph import connected_components
+    from scipy.spatial import cKDTree
+
     pts = _as_points(points)
     n = pts.shape[0]
     if n == 0:

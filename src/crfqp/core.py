@@ -152,15 +152,20 @@ def objective_of_labeling(graph, potentials, labeling):
     """Objective value of an integer labeling: the module's F at
     one-hot marginals."""
     _check_dims(graph, potentials)
-    x = check_labeling(labeling, graph.num_nodes, graph.num_labels)
-    value = float(potentials.unary[np.arange(graph.num_nodes), x].sum())
+    n, k = graph.num_nodes, graph.num_labels
+    x = check_labeling(labeling, n, k)
+    # one flat gather per term picks the entries (and order) that
+    # unary[i, x[i]] and psi[e, x[i], x[j]] index
+    value = float(np.take(potentials.unary.ravel(), np.arange(0, n * k, k) + x).sum())
     if graph.num_edges:
         ea = graph.edges
         xi = x[ea[:, 0]]
         xj = x[ea[:, 1]]
-        eidx = np.arange(graph.num_edges)
-        psi = potentials.pairwise
-        value += float(psi[eidx, xi, xj].sum() + psi[eidx, xj, xi].sum())
+        block = np.arange(0, graph.num_edges * k * k, k * k)
+        psi = potentials.pairwise.reshape(-1)
+        forward = np.take(psi, block + xi * k + xj)
+        backward = np.take(psi, block + xj * k + xi)
+        value += float(forward.sum() + backward.sum())
     return value
 
 

@@ -11,7 +11,6 @@ distance, centroid distance), each term normalized into [0, 1].
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = ["bhattacharyya_distance"]
 
@@ -105,6 +104,10 @@ def build_edges(centroids, theta):
     """Connect every pair of nodes whose (N, 2) `centroids` lie strictly
     closer than `theta`.  Returns an int64 array of shape (E, 2) holding
     canonical pairs i < j sorted by (i, j)."""
+    # imported here, so a process that never builds edges (a `crfqp
+    # solve` of a problem file) does not load scipy.spatial
+    from scipy.spatial import cKDTree
+
     centers = np.asarray(centroids, dtype=np.float64)
     if len(centers) < 1:
         raise ValueError("need at least one node")

@@ -98,15 +98,18 @@ def build_constraint_matrix(graph, constraint_sets):
     constraint_sets.check_bounds(graph.num_nodes)
     k = graph.num_labels
     dim = graph.num_nodes * k
-    rows, cols, data = [], [], []
-    r = 0
-    for members in constraint_sets:
-        for a, b in zip(members[:-1], members[1:]):
-            for p in range(k):
-                rows.extend((r, r))
-                cols.extend((a * k + p, b * k + p))
-                data.extend((1.0, -1.0))
-                r += 1
+    members = np.array([m for s in constraint_sets for m in s], dtype=np.int64)
+    # every member but the last of its set pairs with its successor
+    last = np.cumsum([len(s) for s in constraint_sets], dtype=np.int64) - 1
+    first = np.delete(np.arange(members.size), last)
+    labels = np.arange(k)
+    # row (pair, p) holds +1 at (a, p) and -1 at (b, p), in that order
+    cols = np.stack(
+        [members[first, None] * k + labels, members[first + 1, None] * k + labels], axis=2
+    ).ravel()
+    r = first.size * k
+    rows = np.repeat(np.arange(r), 2)
+    data = np.tile([1.0, -1.0], r)
     e_mat = sp.csr_matrix((data, (rows, cols)), shape=(r, dim))
     return e_mat, np.zeros(r)
 

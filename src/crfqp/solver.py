@@ -39,6 +39,10 @@ FLOOR = 1e-9
 # temporary to _CHECK_BLOCKS * K^2 bytes.
 _CHECK_BLOCKS = 4096
 
+# Leading entries of the flattened iterate whose change `solve` reads
+# before it scans the whole iterate (see `solve`).
+_PROBE = 256
+
 
 class SolverFailure(RuntimeError):
     """Raised when the iteration produces non-finite values."""
@@ -292,7 +296,9 @@ def _quadratic_operator(graph, terms):
 
     def potts_matvec(mu):
         out = w_delta @ mu
-        out += (w_off @ (mu @ ones))[:, None]
+        # a (N, 1) broadcast runs one K-wide inner loop per row; the
+        # repeated column adds the same value to each entry in one pass
+        out += np.repeat(w_off @ (mu @ ones), k).reshape(n, k)
         return out
 
     return potts_matvec
@@ -355,13 +361,25 @@ def solve(graph, potentials, config=None, callback=None):
     other graph takes the general one.
 
     One iteration is one operator application, one step of `iterate`'s
-    arithmetic without its input checks, and two min/max pairs.  The
-    gradient is formed in place in the operator's output, and one pair
-    tests it for finiteness and sign.  The other takes the max change
-    from a difference buffer that every iteration reuses; the iterate
-    is tested for finiteness only when that change is not finite.
-    Every iterate is a fresh array, so a callback may keep the
-    marginals it is handed.
+    arithmetic without its input checks, the trace value and a stop
+    test.  The gradient is formed in place in the operator's output,
+    and one min/max pair tests it for finiteness and sign.  The stop
+    test first reads the max change over the leading `_PROBE` entries
+    of the flattened iterate: while that alone is at least `tol`, so is
+    the whole change, and the step has not converged.  Probing ends
+    for the rest of the solve at the first iteration that needs more:
+    a probe below `tol`, the last iteration or a non-finite trace
+    value.  From then on a second min/max pair takes the max change
+    over the whole iterate from a difference buffer that every
+    iteration reuses, and the iterate is tested for finiteness only
+    when that change is not finite.  A probe needs no such test: with
+    mu finite and q finite and >= 0, every entry of mu * q is >= 0 and
+    at most its row's normalizer, so a quotient can exceed 1 only as
+    inf / inf, which is NaN, and a NaN in the new iterate a makes b . a
+    NaN (b is finite); a finite trace value proves the iterate finite.
+    Iterations, traces, marginals, `converged` and failures are those
+    of the whole-iterate test at every step.  Every iterate is a fresh
+    array, so a callback may keep the marginals it is handed.
 
     Returns
     -------
@@ -387,8 +405,10 @@ def solve(graph, potentials, config=None, callback=None):
 
     mu = _initial_marginals(b, config.init)
     change = np.empty_like(mu)
+    head = np.empty(min(_PROBE, mu.size))
     a, qa = mu.ravel(), matvec(mu)
     trace = [float(b_flat @ a + a @ qa.ravel()) - terms.offset]
+    probe = True
     converged = False
     iterations = 0
     for it in range(1, config.max_iterations + 1):
@@ -401,16 +421,27 @@ def solve(graph, potentials, config=None, callback=None):
         if low < 0.0:
             raise ValueError("gradient has negative entries; shift potentials first")
         new_mu = _step(mu, qa, ones)
-        # a non-finite iterate makes the change non-finite, so the iterate
-        # is scanned only then (finite iterates can differ by an overflow)
-        np.subtract(new_mu, mu, out=change)
-        high, low = change.max(), change.min()
-        if not (-np.inf < low and high < np.inf) and not _finite(new_mu):
-            raise SolverFailure(f"non-finite marginals at iteration {it}")
-        delta = float(max(high, -low))
-        mu = new_mu
-        a, qa = mu.ravel(), matvec(mu)
-        trace.append(float(b_flat @ a + a @ qa.ravel()) - terms.offset)
+        new_a, qa = new_mu.ravel(), matvec(new_mu)
+        value = float(b_flat @ new_a + new_a @ qa.ravel()) - terms.offset
+        delta = np.inf
+        if probe and it < config.max_iterations and -np.inf < value < np.inf:
+            # the iterate is finite (see the docstring): the leading
+            # entries bound the max change from below
+            np.subtract(new_a[: head.size], a[: head.size], out=head)
+            probe = max(head.max(), -head.min()) >= config.tol
+        else:
+            probe = False
+        if not probe:
+            # a non-finite iterate makes the change non-finite, so the
+            # iterate is scanned only then (finite iterates can differ by
+            # an overflow)
+            np.subtract(new_mu, mu, out=change)
+            high, low = change.max(), change.min()
+            if not (-np.inf < low and high < np.inf) and not _finite(new_mu):
+                raise SolverFailure(f"non-finite marginals at iteration {it}")
+            delta = float(max(high, -low))
+        mu, a = new_mu, new_a
+        trace.append(value)
         iterations = it
         if callback is not None:
             callback(it, mu)

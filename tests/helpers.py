@@ -168,6 +168,37 @@ def score_labeling(graph, potentials, labeling):
     return float(value)
 
 
+def fancy_objective_of_labeling(graph, potentials, labeling):
+    """Integer objective by 3-D fancy indexing, summed term by term as
+    `objective_of_labeling` sums its flat gathers: its bitwise oracle."""
+    x = np.asarray(labeling, dtype=np.int64)
+    value = float(potentials.unary[np.arange(graph.num_nodes), x].sum())
+    if graph.num_edges:
+        ea = graph.edges
+        xi = x[ea[:, 0]]
+        xj = x[ea[:, 1]]
+        eidx = np.arange(graph.num_edges)
+        psi = potentials.pairwise
+        value += float(psi[eidx, xi, xj].sum() + psi[eidx, xj, xi].sum())
+    return value
+
+
+def loop_constraint_matrix(graph, constraint_sets):
+    """The constraint matrix from triplets listed pair by pair and label
+    by label, passed to the same CSR constructor as in the library."""
+    k = graph.num_labels
+    rows, cols, data = [], [], []
+    r = 0
+    for members in constraint_sets:
+        for a, b in zip(members[:-1], members[1:]):
+            for p in range(k):
+                rows.extend((r, r))
+                cols.extend((a * k + p, b * k + p))
+                data.extend((1.0, -1.0))
+                r += 1
+    return sp.csr_matrix((data, (rows, cols)), shape=(r, graph.num_nodes * k))
+
+
 def enumerate_map(graph, potentials):
     """Exhaustive MAP by itertools enumeration.  Strict improvement keeps
     the lexicographically smallest optimum (node 0 most significant)."""
@@ -285,11 +316,13 @@ def full_matrix_ground_plane(cloud, params):
     return normals[chosen], float(offsets[chosen]), kept
 
 
-def dense_lbp(graph, potentials, max_iters=200, damping=0.5):
+def dense_lbp(graph, potentials, max_iters=200, damping=0.5, changes=None):
     """Max-product LBP with node-major messages, a dense K x K
     maximisation per message and `np.add.at` belief sums: the reference
     that `lbp_map` must reproduce bit for bit, raising `SolverFailure`
-    at the same iteration when the messages turn non-finite."""
+    at the same iteration when the messages turn non-finite.  Each
+    iteration appends the max change of every directed edge's message
+    to the list `changes`, when one is given."""
     n, k = graph.num_nodes, graph.num_labels
     unary, pairwise, _ = shift_to_floor(potentials.unary, potentials.pairwise)
 
@@ -321,6 +354,8 @@ def dense_lbp(graph, potentials, max_iters=200, damping=0.5):
         new = damping * messages + (1.0 - damping) * new
         new -= new.max(axis=1, keepdims=True)
         change = float(np.max(np.abs(new - messages)))
+        if changes is not None:
+            changes.append(np.abs(new - messages).max(axis=1))
         if not np.isfinite(change):
             raise SolverFailure(f"non-finite messages at iteration {it}")
         messages = new

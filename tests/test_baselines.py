@@ -15,7 +15,12 @@ from crfqp import (
     lbp_map,
     reduce_problem,
 )
-from crfqp.baselines import BRUTE_FORCE_LIMIT, _belief_sum, _halving_is_exact
+from crfqp.baselines import (
+    _PROBE_COLUMNS,
+    BRUTE_FORCE_LIMIT,
+    _belief_sum,
+    _halving_is_exact,
+)
 from crfqp.solver import _decoder_terms
 from helpers import (
     dense_lbp,
@@ -232,6 +237,48 @@ def test_lbp_matches_dense_reference_near_overflow():
             finished += not isinstance(want, str)
     # both damping forms run, and nearly every run finishes
     assert 40 < fallbacks < 110 and finished > 140
+
+
+def _settling_lead(seed, potts):
+    """A chain of strongly labelled nodes whose edges come first, so its
+    messages fill the probed columns, then a weakly labelled 8 x 8 grid
+    whose messages settle later; K = 3, Potts or general blocks."""
+    rng = np.random.default_rng(seed)
+    k, lead = 3, _PROBE_COLUMNS + 1
+    grid = _grid(8, 8, k).edges + lead
+    edges = [(i, i + 1) for i in range(lead - 1)] + grid.tolist()
+    n = lead + 64
+    unary = rng.uniform(-1.0, 1.0, size=(n, k))
+    unary[:lead] = 0.0
+    unary[np.arange(lead), rng.integers(0, k, lead)] = 5.0
+    if potts:
+        diag, off = rng.uniform(0.0, 0.6, size=(2, len(edges), 1, 1))
+        pairwise = np.where(np.eye(k, dtype=bool), diag, off)
+    else:
+        pairwise = rng.uniform(0.0, 0.6, size=(len(edges), k, k))
+    return CrfGraph(n, k, edges), Potentials(unary, pairwise)
+
+
+@pytest.mark.parametrize("potts, seeds", [(True, (0, 1)), (False, (1, 2))])
+def test_lbp_stop_test_probe_matches_dense_reference(potts, seeds):
+    cases = [_settling_lead(seed, potts) for seed in seeds]
+    if potts:
+        scenes = [generate_scene(16, 16, 3, 4, seed=seed) for seed in range(2)]
+        cases += [(scene.graph, scene.potentials) for scene in scenes]
+    else:
+        rng = np.random.default_rng(113)
+        cases += [random_tree(rng, 60, 4) for _ in range(2)]
+    settled_first = 0
+    for graph, pot in cases:
+        assert _halves(graph, pot)
+        changes = []
+        want = _outcome(dense_lbp, graph, pot, changes=changes)
+        assert _outcome(lbp_map, graph, pot) == want
+        assert want[-1]  # converged
+        # iterations where the probed columns have settled and others not
+        heads = [c[:_PROBE_COLUMNS].max() for c in changes]
+        settled_first += any(h < 1e-6 <= c.max() for h, c in zip(heads, changes))
+    assert settled_first >= len(seeds)
 
 
 def test_lbp_matches_dense_reference_at_other_dampings():

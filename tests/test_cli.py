@@ -390,3 +390,20 @@ def test_main_calls_in_one_process_behave_as_separate_processes(tmp_path, capsys
             timeout=300,
         )
         assert got == seen(fresh.returncode, fresh.stdout, fresh.stderr, argv)
+
+
+def test_cli_import_leaves_spatial_and_csgraph_unloaded():
+    # only edge building and clustering use them, and import them there
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, crfqp.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith("
+        "('scipy.spatial', 'scipy.sparse.csgraph'))))"
+    )
+    fresh = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stdout.strip() == "[]"

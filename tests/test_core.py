@@ -6,11 +6,13 @@ import pytest
 from crfqp import CrfGraph, Potentials, extract_labeling, objective_of_labeling
 from crfqp.core import check_labeling, check_marginals
 from helpers import (
+    fancy_objective_of_labeling,
     naive_objective,
     objective,
     quad_objective,
     random_instance,
     random_marginals,
+    random_potts_instance,
 )
 
 
@@ -47,6 +49,24 @@ def test_objective_matches_loop_oracles():
         expected = naive_objective(graph, pot, mu)
         assert objective(graph, pot, mu) == pytest.approx(expected, abs=1e-12)
         assert quad_objective(graph, pot, mu) == pytest.approx(expected, abs=1e-12)
+
+
+def test_labeling_objective_is_bitwise_the_fancy_indexed_sum():
+    rng = np.random.default_rng(15)
+    cases = []
+    for n, k, prob in ((9, 4, 0.5), (12, 2, 0.4), (6, 3, 0.0), (1, 5, 0.0)):
+        cases.append(random_instance(rng, n, k, edge_prob=prob))
+        cases.append(random_potts_instance(rng, n, k, edge_prob=prob))
+    # large magnitudes of both signs make any change of summation order show
+    graph, pot = random_instance(rng, 40, 3, edge_prob=0.3, low=-1e6, high=1e6)
+    cases.append((graph, pot))
+    assert any(g.num_edges == 0 for g, _ in cases)
+    for graph, pot in cases:
+        for _ in range(4):
+            x = rng.integers(0, graph.num_labels, size=graph.num_nodes)
+            got = objective_of_labeling(graph, pot, x)
+            want = fancy_objective_of_labeling(graph, pot, x)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_labeling_objective_equals_one_hot_relaxation():

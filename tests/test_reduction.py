@@ -16,6 +16,7 @@ from crfqp import (
 )
 from crfqp.reduction import build_null_space_operator, expand_solution
 from helpers import (
+    loop_constraint_matrix,
     loop_reduction,
     random_disjoint_sets,
     random_instance,
@@ -45,6 +46,20 @@ def test_constraint_matrix_without_sets_is_empty():
     e_mat, d = build_constraint_matrix(graph, ConstraintSets())
     assert e_mat.shape == (0, 8)
     assert d.shape == (0,)
+
+
+def test_constraint_matrix_is_the_loop_construction():
+    rng = np.random.default_rng(21)
+    for _ in range(60):
+        n, k = int(rng.integers(1, 25)), int(rng.integers(2, 6))
+        sets = random_disjoint_sets(rng, n, max_sets=int(rng.integers(0, 6)))
+        graph, sets = CrfGraph(n, k), ConstraintSets(sets)
+        got, d = build_constraint_matrix(graph, sets)
+        want = loop_constraint_matrix(graph, sets)
+        assert got.shape == want.shape and d.shape == (want.shape[0],)
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_constraint_sets_validation():

@@ -24,6 +24,7 @@ from crfqp import (
 from crfqp.core import check_marginals
 from crfqp.potentials import pairwise_potential
 from crfqp.solver import (
+    _PROBE,
     _decoder_terms,
     _general_csr,
     _initial_marginals,
@@ -501,6 +502,69 @@ def test_unary_softmax_init_agrees_on_easy_instance():
     for init in ("uniform", "unary_softmax"):
         mu, _ = solve(graph, pot, SolverConfig(init=init))
         assert extract_labeling(mu).tolist() == [0, 0]
+
+
+def _probe_instance(seed, lead):
+    """150 nodes, K = 4: the leading nodes, whose rows fill the probed
+    entries of the iterate, are isolated with flat unaries (they never
+    move) or one strong label (they settle within a few steps); the
+    others carry random unaries and Potts edges, and settle slowly."""
+    rng = np.random.default_rng(seed)
+    n, k = 150, 4
+    nl = _PROBE // k
+    edges = random_graph(rng, n - nl, k, edge_prob=0.05).edges + nl
+    unary = rng.uniform(-1.0, 1.0, size=(n, k))
+    unary[:nl] = 0.0
+    if lead == "strong":
+        unary[np.arange(nl), rng.integers(0, k, nl)] = 3.0
+    diag, off = rng.uniform(0.0, 1.0, size=(2, len(edges), 1, 1))
+    pairwise = np.where(np.eye(k, dtype=bool), diag, off)
+    return CrfGraph(n, k, edges), Potentials(unary, pairwise)
+
+
+@pytest.mark.parametrize(
+    "lead, config",
+    [
+        ("flat", SolverConfig(tol=1e-4)),
+        ("strong", SolverConfig(tol=1e-3)),
+        ("strong", SolverConfig(max_iterations=30, tol=1e-6)),
+    ],
+)
+def test_stop_test_probe_matches_a_whole_iterate_scan(lead, config):
+    graph, pot = _probe_instance(3, lead)
+    kept = []
+    mu, report = solve(graph, pot, config, callback=lambda _, m: kept.append(m))
+
+    # the whole-scan stop and trace, replayed over the kept iterates
+    terms = _decoder_terms(pot)
+    matvec = _quadratic_operator(graph, terms)
+    b = terms.unary.ravel()
+
+    def value(m):
+        a = m.ravel()
+        return float(b @ a + a @ matvec(m).ravel()) - terms.offset
+
+    prev = _initial_marginals(terms.unary, config.init)
+    trace, heads, changes = [value(prev)], [], []
+    for m in kept:
+        step = np.abs(m - prev).ravel()
+        heads.append(step[:_PROBE].max())
+        changes.append(step.max())
+        trace.append(value(m))
+        prev = m
+    converged = changes[-1] < config.tol
+    assert min(changes[:-1], default=np.inf) >= config.tol
+    assert report.iterations == len(kept)
+    assert converged == report.converged
+    assert converged or report.iterations == config.max_iterations
+    assert np.asarray(report.objective_trace).tobytes() == np.asarray(trace).tobytes()
+    assert mu is kept[-1]
+
+    # the probed entries settle while the whole iterate still moves:
+    # from the first step (flat), or after probes at or above tol
+    settled = [t for t, h in enumerate(heads) if h < config.tol <= changes[t]]
+    assert settled
+    assert (settled[0] == 0) == (lead == "flat")
 
 
 def test_solver_config_validation():
