@@ -88,9 +88,9 @@ def _belief_sum(tgt, num_nodes):
     Returns
     -------
     (rank, add, max_degree) : (ndarray, callable, int)
-        add(beliefs, messages) adds (K, D) messages into (K, N)
-        rank-ordered beliefs in place; max_degree is the largest
-        in-degree.
+        add(beliefs, messages) adds (K, D) messages into C-contiguous
+        (K, N) rank-ordered beliefs in place, with K fixed by its first
+        call; max_degree is the largest in-degree.
     """
     counts = np.bincount(tgt, minlength=num_nodes)
     ranked = np.argsort(-counts, kind="stable")
@@ -108,11 +108,21 @@ def _belief_sum(tgt, num_nodes):
     tail = np.nonzero(position >= widths.size)[0]
     tail_rank = rank[tgt[tail]]
 
+    tail_index = None
+
     def add(beliefs, messages):
+        nonlocal tail_index
         for edges in slots:
             beliefs[:, : edges.size] += np.take(messages, edges, axis=1)
         if tail.size:
-            np.add.at(beliefs.T, tail_rank, np.take(messages, tail, axis=1).T)
+            # element q * N + rank of the flat beliefs, label-major like
+            # the (K, tail) messages: numpy's 1-D fast path adds in index
+            # order, as a scatter over the rows of beliefs.T does
+            if tail_index is None:
+                labels = np.arange(0, beliefs.size, num_nodes)
+                tail_index = (labels[:, None] + tail_rank).ravel()
+            tail_messages = np.take(messages, tail, axis=1).ravel()
+            np.add.at(beliefs.reshape(-1), tail_index, tail_messages)
 
     return rank, add, int(counts.max())
 

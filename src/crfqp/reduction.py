@@ -10,6 +10,7 @@ to a supernode into its unary term.  The reduced problem is again an
 ordinary CRF over the supernodes.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,16 +118,18 @@ def build_constraint_matrix(graph, constraint_sets):
 def build_null_space_operator(graph, constraint_sets):
     """Node -> supernode surjection realizing the null space of the
     constraint matrix.  Each node points at the smallest member of its
-    set (or itself), so numbering the distinct owners in sorted order
-    numbers supernodes by first appearance in node order.  The induced
+    set (or itself), so numbering the nodes that own themselves in node
+    order numbers supernodes by first appearance.  The induced
     replication operator Z satisfies E @ Z = 0 with exact structural
     zeros."""
     constraint_sets.check_bounds(graph.num_nodes)
     owner = np.arange(graph.num_nodes)
-    for members in constraint_sets:
-        owner[list(members)] = members[0]
-    _, node_to_super = np.unique(owner, return_inverse=True)
-    return node_to_super
+    members = np.array([m for s in constraint_sets for m in s], dtype=np.int64)
+    # sets are stored sorted, so each one's first member is its smallest
+    sizes = [len(s) for s in constraint_sets]
+    owner[members] = np.repeat([s[0] for s in constraint_sets], sizes)
+    ids = np.cumsum(owner == np.arange(graph.num_nodes)) - 1
+    return ids[owner]
 
 
 def expansion_operator(node_to_super, num_labels):
@@ -142,6 +145,17 @@ def expansion_operator(node_to_super, num_labels):
     return sp.csr_matrix((data, (rows, cols)), shape=(n * k, m * k))
 
 
+def _add_rows(target, rows, values):
+    """np.add.at(target, rows, values) through element indices on the
+    flat view of `target`, which must be C-contiguous so that the view
+    is no copy.  numpy's 1-D fast path applies the updates in index
+    order, as the row-indexed form does, so every element receives the
+    same additions in the same order."""
+    width = math.prod(target.shape[1:])
+    index = (rows[:, None] * width + np.arange(width)).ravel()
+    np.add.at(target.reshape(-1), index, values.reshape(-1))
+
+
 def reduce_problem(graph, potentials, constraint_sets):
     """Eliminate the constraints, producing an unconstrained CRF over
     supernodes.
@@ -153,6 +167,15 @@ def reduce_problem(graph, potentials, constraint_sets):
     agree, so each adds 2 * psi[p, p] to the supernode's unary score for
     label p (both directions of the undirected edge); this reproduces
     the original objective exactly at integral assignments.
+
+    Each output entry is one fixed sequence of float additions, so the
+    result is reproducible bit for bit.  A supernode's unary row starts
+    from zero and adds its members' unary rows in node order, then the
+    doubled diagonals of its internal edges in edge order.  A super-edge
+    block starts from the first block of its bundle (in edge order) and
+    adds the others in edge order.  The scatters index single elements
+    of the flat outputs, and `np.add.at` applies the updates in index
+    order, so each element sees exactly this sequence.
     """
     _check_dims(graph, potentials)
     node_to_super = build_null_space_operator(graph, constraint_sets)
@@ -160,32 +183,34 @@ def reduce_problem(graph, potentials, constraint_sets):
     k = graph.num_labels
 
     rho = np.zeros((m, k))
-    np.add.at(rho, node_to_super, potentials.unary)
+    _add_rows(rho, node_to_super, potentials.unary)
 
     ends = node_to_super[graph.edges]
     a, b = ends[:, 0], ends[:, 1]
     internal = a == b
     diag = np.diagonal(potentials.pairwise, axis1=1, axis2=2)
-    np.add.at(rho, a[internal], 2.0 * diag[internal])
+    _add_rows(rho, a[internal], 2.0 * diag[internal])
 
     crossing = ~internal
-    flip = (a > b)[crossing]
-    pairs = np.sort(ends[crossing], axis=1)
-    blocks = potentials.pairwise[crossing]
+    a, b = a[crossing], b[crossing]
+    flip = a > b
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    # indexing keeps a Fortran-ordered input's layout; the scatter into
+    # tau needs C order
+    blocks = np.ascontiguousarray(potentials.pairwise[crossing])
     blocks[flip] = blocks[flip].transpose(0, 2, 1)
     # Number super-edges by first appearance; each bundle starts from its
     # first block and adds the rest in edge order.
-    _, first, bundle = np.unique(
-        pairs[:, 0] * m + pairs[:, 1], return_index=True, return_inverse=True
-    )
+    _, first, bundle = np.unique(lo * m + hi, return_index=True, return_inverse=True)
     order = np.argsort(first)
     bundle = np.argsort(order)[bundle]
-    tau = blocks[first[order]]
+    head = first[order]
+    tau = blocks[head]
     rest = np.ones(len(blocks), dtype=bool)
     rest[first] = False
-    np.add.at(tau, bundle[rest], blocks[rest])
+    _add_rows(tau, bundle[rest], blocks[rest])
 
-    super_graph = CrfGraph(m, k, pairs[first[order]])
+    super_graph = CrfGraph(m, k, np.stack([lo[head], hi[head]], axis=1))
     return ReducedProblem(super_graph, Potentials(rho, tau), node_to_super)
 
 

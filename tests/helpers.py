@@ -84,12 +84,13 @@ def random_marginals(rng, num_nodes, num_labels):
     return mu / mu.sum(axis=1, keepdims=True)
 
 
-def random_disjoint_sets(rng, num_nodes, max_sets=3):
-    """Disjoint node groups of size >= 2 drawn from a shuffled node list."""
+def random_disjoint_sets(rng, num_nodes, max_sets=3, max_size=4):
+    """Disjoint node groups of 2 to `max_size` nodes drawn from a
+    shuffled node list."""
     order = list(rng.permutation(num_nodes))
     sets = []
     while len(sets) < max_sets and len(order) >= 2:
-        size = int(rng.integers(2, min(4, len(order)) + 1))
+        size = int(rng.integers(2, min(max_size, len(order)) + 1))
         sets.append(tuple(order[:size]))
         order = order[size:]
         if rng.uniform() < 0.3:

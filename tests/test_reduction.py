@@ -11,9 +11,11 @@ from crfqp import (
     Potentials,
     build_constraint_matrix,
     expansion_operator,
+    generate_scene,
     objective_of_labeling,
     reduce_problem,
 )
+from crfqp.bench import BENCH_NOISE, BENCH_PAIRWISE_WEIGHT, benchmark_constraint_sets
 from crfqp.reduction import build_null_space_operator, expand_solution
 from helpers import (
     loop_constraint_matrix,
@@ -21,6 +23,7 @@ from helpers import (
     random_disjoint_sets,
     random_instance,
     random_marginals,
+    random_potts_instance,
 )
 
 
@@ -155,6 +158,21 @@ def test_crossing_edges_merge_with_orientation():
     np.testing.assert_allclose(reduced.reduced.pairwise[0], psi_01 + psi_12.T)
 
 
+def _assert_reduction_is_the_loop(graph, pot, sets):
+    reduced = reduce_problem(graph, pot, sets)
+    unary, super_edges, blocks = loop_reduction(graph, pot, reduced.node_to_super)
+    assert reduced.reduced.unary.tobytes() == unary.tobytes()
+    assert reduced.super_graph.edges.tolist() == [list(e) for e in super_edges]
+    assert reduced.reduced.pairwise.tobytes() == blocks.tobytes()
+    return reduced
+
+
+def _signed_zeros(rng, shape, rate=0.3):
+    """Factors of 1.0, or -0.0 at `rate`: a product keeps its value or
+    becomes a zero whose sign depends on the value's."""
+    return np.where(rng.uniform(size=shape) < rate, -0.0, 1.0)
+
+
 def test_reduction_matches_edge_loop_bitwise():
     rng = np.random.default_rng(23)
     for _ in range(200):
@@ -167,11 +185,65 @@ def test_reduction_matches_edge_loop_bitwise():
         graph = CrfGraph(n, k, graph.edges[order])
         pot = Potentials(pot.unary, pairwise)
         sets = ConstraintSets(random_disjoint_sets(rng, n, max_sets=4))
-        reduced = reduce_problem(graph, pot, sets)
-        unary, super_edges, blocks = loop_reduction(graph, pot, reduced.node_to_super)
-        assert reduced.reduced.unary.tobytes() == unary.tobytes()
-        assert reduced.super_graph.edges.tolist() == [list(e) for e in super_edges]
-        assert reduced.reduced.pairwise.tobytes() == blocks.tobytes()
+        _assert_reduction_is_the_loop(graph, pot, sets)
+
+
+def test_reduction_matches_edge_loop_bitwise_at_scale():
+    # large sets fill bundles with several blocks and make many edges
+    # internal, so every scatter adds several terms into one element
+    rng = np.random.default_rng(29)
+    widest_bundle = internal_edges = 0
+    for trial in range(60):
+        n, k = int(rng.integers(30, 81)), int(rng.integers(2, 8))
+        make = random_potts_instance if trial % 2 else random_instance
+        graph, pot = make(rng, n, k, edge_prob=float(rng.uniform(0.05, 0.3)))
+        order = rng.permutation(graph.num_edges)
+        # a Potts block keeps its structure when zeroed as a whole
+        zero_shape = (graph.num_edges, 1, 1) if trial % 2 else pot.pairwise.shape
+        pairwise = pot.pairwise[order] * _signed_zeros(rng, zero_shape)
+        unary = pot.unary * _signed_zeros(rng, pot.unary.shape)
+        graph = CrfGraph(n, k, graph.edges[order])
+        sets = ConstraintSets(random_disjoint_sets(rng, n, max_sets=n, max_size=25))
+        pot = Potentials(unary, pairwise)
+        reduced = _assert_reduction_is_the_loop(graph, pot, sets)
+        ends = np.sort(reduced.node_to_super[graph.edges], axis=1)
+        internal = ends[:, 0] == ends[:, 1]
+        internal_edges += int(internal.sum())
+        _, sizes = np.unique(ends[~internal], axis=0, return_counts=True)
+        widest_bundle = max(widest_bundle, int(sizes.max(initial=0)))
+    assert widest_bundle >= 4 and internal_edges >= 1000
+
+
+def test_reduction_matches_edge_loop_bitwise_on_the_large_grid_recipe():
+    scene = generate_scene(
+        80, 80, 6, 7, noise=BENCH_NOISE, seed=0, pairwise_weight=BENCH_PAIRWISE_WEIGHT
+    )
+    sets = benchmark_constraint_sets(scene, 0.75, seed=0)
+    reduced = _assert_reduction_is_the_loop(scene.graph, scene.potentials, sets)
+    assert reduced.num_supernodes < scene.num_nodes // 2
+
+
+def test_reduction_reads_strided_potentials_in_c_order():
+    # flattening must read the values in C order and every addition must
+    # land in the outputs, whatever the layout of the inputs
+    rng = np.random.default_rng(31)
+    graph, pot = random_instance(rng, 60, 4, edge_prob=0.2)
+    sets = ConstraintSets(random_disjoint_sets(rng, 60, max_sets=60, max_size=25))
+    unary = pot.unary * _signed_zeros(rng, pot.unary.shape)
+    pairwise = pot.pairwise * _signed_zeros(rng, pot.pairwise.shape)
+    weights = rng.uniform(-1.0, 1.0, size=(4, 4))
+    layouts = [
+        (np.asfortranarray(unary), np.asfortranarray(pairwise)),
+        (np.flip(np.flip(unary).copy()), np.flip(np.flip(pairwise).copy())),
+        (unary[:, ::-1].copy()[:, ::-1], np.broadcast_to(weights, pairwise.shape)),
+    ]
+    for layout in layouts:
+        strided = Potentials(*layout)
+        assert not strided.unary.flags.c_contiguous
+        assert not strided.pairwise.flags.c_contiguous
+        before = strided.unary.tobytes(), strided.pairwise.tobytes()
+        _assert_reduction_is_the_loop(graph, strided, sets)
+        assert (strided.unary.tobytes(), strided.pairwise.tobytes()) == before
 
 
 def test_reduction_without_sets_is_identity():
