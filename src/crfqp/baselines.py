@@ -12,9 +12,11 @@ import numpy as np
 
 from .core import _check_dims, extract_labeling, objective_of_labeling
 from .solver import (
-    SolveReport,
     SolverFailure,
+    _check_iteration_cap,
     _decoder_terms,
+    _max_change,
+    _StopTest,
     # unused here, but the benchmark's span tracing (perfbench/spans.py)
     # patches this module attribute by name
     shift_to_floor,  # noqa: F401
@@ -184,7 +186,7 @@ def _dense_messages(psi_dir):
 _HALVING_ITERS = 900
 
 # Leading message columns whose change `lbp_map` reads before it scans
-# every message, when damping by halving (see `lbp_map`).
+# every message, when damping by halving (see `_StopTest`).
 _PROBE_COLUMNS = 64
 
 
@@ -244,16 +246,12 @@ def lbp_map(graph, potentials, max_iters=200, damping=0.5):
     `_halving_is_exact` proves it; otherwise, and at any other damping,
     the three-pass form runs with a third (K, 2E) buffer.
 
-    The stop test takes the max change |old - new| over every message.
-    When damping by halving it first reads the leading `_PROBE_COLUMNS`
-    columns alone: while their change is at least 1e-6, so is the whole
-    change, and the update has not converged.  Probing ends for the rest
-    of the call at the first probe below 1e-6 or on the last iteration.
-    A probe skips no failure: the bound `_halving_is_exact` checks,
-    U + (d + 3) P below half the float64 maximum, keeps every value an
-    iteration forms within [-(d + 1) P, U + 2 P], so no message turns
-    non-finite.  Any other damping scans every message on every
-    iteration.
+    The stop test (`_StopTest`) compares the max message change with
+    1e-6, probing the leading `_PROBE_COLUMNS` columns when damping by
+    halving.  A probe skips no failure: the bound `_halving_is_exact`
+    checks, U + (d + 3) P below half the float64 maximum, keeps every
+    value an iteration forms within [-(d + 1) P, U + 2 P], so no message
+    turns non-finite.
 
     The decode takes the column maximum of the label-major beliefs and
     sweeps the K rows from last to first, writing each row's label
@@ -266,7 +264,6 @@ def lbp_map(graph, potentials, max_iters=200, damping=0.5):
     Returns
     -------
     (labeling, report) : (ndarray, SolveReport)
-        Report objectives are in original potential units.
 
     Raises
     ------
@@ -277,14 +274,17 @@ def lbp_map(graph, potentials, max_iters=200, damping=0.5):
     _check_dims(graph, potentials)
     if not 0.0 <= damping < 1.0:
         raise ValueError(f"damping must lie in [0, 1), got {damping}")
+    _check_iteration_cap("max_iters", max_iters)
     n, k = graph.num_nodes, graph.num_labels
     terms = _decoder_terms(potentials)
 
     num_e = graph.num_edges
     if num_e == 0:
         labeling = extract_labeling(terms.unary)
-        value = objective_of_labeling(graph, potentials, labeling)
-        return labeling, SolveReport(0, value, [value], True)
+        stop = _StopTest(1e-6, max_iters)
+        stop.trace.append(objective_of_labeling(graph, potentials, labeling))
+        stop.converged = True
+        return labeling, stop.report()
 
     ea = graph.edges
     # Directed edge d: source src[d] -> target tgt[d]; d and d+num_e are
@@ -314,11 +314,9 @@ def lbp_map(graph, potentials, max_iters=200, damping=0.5):
     messages = np.zeros((k, 2 * num_e))
     base = np.empty_like(messages)
     halve = damping == 0.5 and _halving_is_exact(terms, max_degree, max_iters)
-    probe = halve
-    if halve:
-        width = min(_PROBE_COLUMNS, 2 * num_e)
-        head = np.empty((k, width))
-    else:
+    head = np.empty((k, min(_PROBE_COLUMNS, 2 * num_e))) if halve else None
+    stop = _StopTest(1e-6, max_iters, head)
+    if not halve:
         spare = np.empty_like(messages)
     col_max = np.empty(2 * num_e)
     beliefs = np.empty((k, n))
@@ -345,11 +343,15 @@ def lbp_map(graph, potentials, max_iters=200, damping=0.5):
             last = labeling, objective_of_labeling(graph, potentials, labeling)
         return last
 
+    def scan(new, old, it):
+        # the old messages are spent: their buffer takes the difference
+        change = _max_change(new, old, old)
+        if not change < np.inf:
+            raise SolverFailure(f"non-finite messages at iteration {it}")
+        return change
+
     best_labeling = None
     best_value = -np.inf
-    trace = []
-    converged = False
-    iterations = 0
     for it in range(1, max_iters + 1):
         np.take(beliefs_now(), src_col, axis=1, out=base, mode="clip")
         base[:, :num_e] -= messages[:, num_e:]
@@ -362,45 +364,20 @@ def lbp_map(graph, potentials, max_iters=200, damping=0.5):
             new *= 1.0 - damping
             new += np.multiply(messages, damping, out=spare)
         new -= np.max(new, axis=0, out=col_max)
-        change = np.inf
-        if probe and it < max_iters:
-            # messages stay finite here (see the docstring): the leading
-            # columns bound the max change from below
-            lead = np.subtract(messages[:, :width], new[:, :width], out=head)
-            probe = max(lead.max(), -lead.min()) >= 1e-6
-        else:
-            probe = False
-        if not probe:
-            # the old messages are spent: their buffer takes the difference
-            messages -= new
-            change = float(max(messages.max(), -messages.min()))
-            # max and min propagate NaN, and a finite old message minus a
-            # non-finite new one is never finite
-            if not np.isfinite(change):
-                raise SolverFailure(f"non-finite messages at iteration {it}")
-        messages, base = new, messages
-        iterations = it
-
+        # the beliefs are still those of the previous messages
         labeling, value = decode(beliefs)
-        trace.append(value)
         if value > best_value:
             best_value = value
             best_labeling = labeling
-        if change < 1e-6:
-            converged = True
+        settled = stop.settled(it, value, new, messages, scan)
+        messages, base = new, messages
+        if settled:
             break
 
     # Decode once more from the final messages.
     labeling, value = decode(beliefs_now())
-    trace.append(value)
+    stop.trace.append(value)
     if value > best_value:
         best_value = value
         best_labeling = labeling
-
-    report = SolveReport(
-        iterations=iterations,
-        final_objective=best_value,
-        objective_trace=trace,
-        converged=converged,
-    )
-    return best_labeling, report
+    return best_labeling, stop.report(best_value)

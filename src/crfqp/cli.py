@@ -23,7 +23,7 @@ from .bench import BENCH_NOISE, rows_to_csv, run_benchmark, speedup_summary
 from .cloud import CloudParams, build_constraint_sets
 from .core import objective_of_labeling
 from .evaluate import DECODERS, decode
-from .metrics import compute_metrics
+from .metrics import _COLUMNS, compute_metrics
 from .problem_io import ProblemFile, load_problem, save_problem
 from .solver import SolverConfig, SolverFailure, solve, solve_constrained  # noqa: F401
 from .synthetic import generate_scene
@@ -207,15 +207,14 @@ def _cmd_synth(args):
 
 
 def _format_metrics(report, fmt):
-    columns = ("precision", "recall", "accuracy", "f1")
     stats = report.per_class
-    rows = [(k, [stats[k][c] for c in columns]) for k in sorted(stats)]
-    rows.append(("macro", [getattr(report, f"macro_{c}") for c in columns]))
+    rows = [(k, [stats[k][c] for c in _COLUMNS]) for k in sorted(stats)]
+    rows.append(("macro", [getattr(report, f"macro_{c}") for c in _COLUMNS]))
     if fmt == "csv":
-        lines = ["class," + ",".join(columns)]
+        lines = ["class," + ",".join(_COLUMNS)]
         lines += [f"{k}" + "".join(f",{v:.6f}" for v in vs) for k, vs in rows]
     else:
-        lines = [f"{'class':>8}" + "".join(f"{c.capitalize():>12}" for c in columns)]
+        lines = [f"{'class':>8}" + "".join(f"{c.capitalize():>12}" for c in _COLUMNS)]
         lines += [f"{k:>8}" + "".join(f"{v:>12.4f}" for v in vs) for k, vs in rows]
     return "\n".join(lines)
 

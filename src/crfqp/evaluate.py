@@ -14,7 +14,7 @@ import numpy as np
 from .baselines import brute_force_map, lbp_map
 from .cloud import CloudParams, build_constraint_sets
 from .core import extract_labeling, objective_of_labeling
-from .metrics import MetricsReport, compute_metrics
+from .metrics import _COLUMNS, MetricsReport, compute_metrics
 from .solver import SolverConfig, solve, solve_constrained
 
 __all__ = ["evaluate_scene", "summarize_reports"]
@@ -87,12 +87,11 @@ def summarize_reports(reports_by_method):
     Returns the formatted table as a string, columns ordered precision,
     recall, accuracy, F1.
     """
-    columns = ("precision", "recall", "accuracy", "f1")
-    header = f"{'method':<8}" + "".join(f"{c.capitalize():>20}" for c in columns)
+    header = f"{'method':<8}" + "".join(f"{c.capitalize():>20}" for c in _COLUMNS)
     lines = [header]
     for method, reports in reports_by_method.items():
         cells = [f"{method:<8}"]
-        for col in columns:
+        for col in _COLUMNS:
             values = np.array([getattr(r, f"macro_{col}") for r in reports])
             cells.append(f"{values.mean():>12.4f} +/- {values.std():.3f}")
         lines.append("".join(cells))

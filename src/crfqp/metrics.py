@@ -7,6 +7,9 @@ import numpy as np
 
 __all__ = ["compute_metrics"]
 
+# The scores of every class and their macro averages, in table order.
+_COLUMNS = ("precision", "recall", "accuracy", "f1")
+
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -65,8 +68,7 @@ def compute_metrics(truth, predicted, num_labels):
         }
 
     macro = {
-        key: float(np.mean([per_class[k][key] for k in present]))
-        for key in ("precision", "recall", "accuracy", "f1")
+        key: float(np.mean([per_class[k][key] for k in present])) for key in _COLUMNS
     }
     return MetricsReport(
         macro_precision=macro["precision"],

@@ -15,6 +15,7 @@ offset is recorded and objectives are reported in the original units.
 All nodes update synchronously from the previous iterate.
 """
 
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -40,12 +41,19 @@ FLOOR = 1e-9
 _CHECK_BLOCKS = 4096
 
 # Leading entries of the flattened iterate whose change `solve` reads
-# before it scans the whole iterate (see `solve`).
+# before it scans the whole iterate (see `_StopTest`).
 _PROBE = 256
 
 
 class SolverFailure(RuntimeError):
     """Raised when the iteration produces non-finite values."""
+
+
+def _check_iteration_cap(name, value):
+    """Raise ValueError naming `name` unless `value` is a positive
+    integer (numpy integers pass; bools and floats do not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -58,8 +66,7 @@ class SolverConfig:
     init: str = "uniform"
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        _check_iteration_cap("SolverConfig.max_iterations", self.max_iterations)
         if not self.tol > 0:  # NaN fails this test
             raise ValueError("tol must be positive")
         if self.init not in ("uniform", "unary_softmax"):
@@ -68,6 +75,17 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
+    """What one decoder run did: `iterations` run, whether the last one
+    `converged` below the tolerance, and the objective in original
+    potential units.
+
+    For qp and cqp, `objective_trace` starts at the initial point and
+    has one entry per iteration after it, and `final_objective` is its
+    last entry.  For lbp, the trace holds the objective of the labeling
+    decoded after each iteration and ends with one extra decode from the
+    final messages, and `final_objective` is the best decoded value, not
+    the last."""
+
     iterations: int
     final_objective: float
     objective_trace: list = field(repr=False)
@@ -332,6 +350,54 @@ def _finite(x):
     return bool(-np.inf < x.min(initial=0.0) and x.max(initial=0.0) < np.inf)
 
 
+def _max_change(new, old, out):
+    """max |new - old|, which is max |old - new|, leaving new - old in
+    `out`: NaN if either holds NaN, else inf on an infinity or overflow."""
+    np.subtract(new, old, out=out)
+    # the ufunc reductions themselves, without ndarray.max's Python wrapper
+    return max(np.maximum.reduce(out, axis=None), -np.minimum.reduce(out, axis=None))
+
+
+class _StopTest:
+    """The stop test of both decoder loops.  It holds the objective
+    `trace`, the `iterations` run and `converged`: whether an iteration's
+    max absolute change fell below `tol` within `cap` iterations.
+
+    Given `head`, a buffer shaped like a leading block of the iterate,
+    it reads that block's change first: while it is at least `tol`, so
+    is the whole change.  Probing ends for good at the first iteration
+    that needs more: a probe below `tol`, the last iteration, or a
+    non-finite objective value.  Then and on every later iteration the
+    caller's full scan runs, raising the decoder's `SolverFailure` on a
+    non-finite step.  A probe checks nothing, so a decoder probes only
+    steps it has proved finite.  Every outcome is that of a full scan
+    at every step."""
+
+    def __init__(self, tol, cap, head=None):
+        self.tol, self.cap, self.head = tol, cap, head
+        # index of the block `head` holds; None once probing has ended
+        self.lead = None if head is None else tuple(map(slice, head.shape))
+        self.trace, self.iterations, self.converged = [], 0, False
+
+    def settled(self, it, value, new, old, scan):
+        """Record iteration `it`, from `old` to `new`, and its objective
+        `value`; return whether it converged.  scan(new, old, it)
+        returns the change over the whole arrays."""
+        self.trace.append(value)
+        self.iterations, lead = it, self.lead
+        if lead is not None and it < self.cap and -np.inf < value < np.inf:
+            if _max_change(new[lead], old[lead], self.head) >= self.tol:
+                return False
+        self.lead = None
+        self.converged = scan(new, old, it) < self.tol
+        return self.converged
+
+    def report(self, final_objective=None):
+        """The run's report; the final objective defaults to the trace's."""
+        final = self.trace[-1] if final_objective is None else final_objective
+        return SolveReport(self.iterations, final, self.trace, bool(self.converged))
+
+
 def solve(graph, potentials, config=None, callback=None):
     """Maximize the relaxed objective by multiplicative gradient ascent.
 
@@ -362,32 +428,23 @@ def solve(graph, potentials, config=None, callback=None):
 
     One iteration is one operator application, one step of `iterate`'s
     arithmetic without its input checks, the trace value and a stop
-    test.  The gradient is formed in place in the operator's output,
-    and one min/max pair tests it for finiteness and sign.  The stop
-    test first reads the max change over the leading `_PROBE` entries
-    of the flattened iterate: while that alone is at least `tol`, so is
-    the whole change, and the step has not converged.  Probing ends
-    for the rest of the solve at the first iteration that needs more:
-    a probe below `tol`, the last iteration or a non-finite trace
-    value.  From then on a second min/max pair takes the max change
-    over the whole iterate from a difference buffer that every
-    iteration reuses, and the iterate is tested for finiteness only
-    when that change is not finite.  A probe needs no such test: with
-    mu finite and q finite and >= 0, every entry of mu * q is >= 0 and
-    at most its row's normalizer, so a quotient can exceed 1 only as
-    inf / inf, which is NaN, and a NaN in the new iterate a makes b . a
-    NaN (b is finite); a finite trace value proves the iterate finite.
-    Iterations, traces, marginals, `converged` and failures are those
-    of the whole-iterate test at every step.  Every iterate is a fresh
-    array, so a callback may keep the marginals it is handed.
+    test (`_StopTest`).  The gradient is formed in place in the
+    operator's output, and one min/max pair tests it for finiteness and
+    sign.  The stop test probes the leading `_PROBE` entries of the
+    flattened iterate while the trace value is finite; its full scan
+    tests the iterate for finiteness only when the change is not
+    finite.  A probed iterate needs no such test: with mu finite
+    and q finite and >= 0, every entry of mu * q is >= 0 and at most
+    its row's normalizer, so a quotient can exceed 1 only as inf / inf,
+    which is NaN, and a NaN in the new iterate a makes b . a NaN (b is
+    finite); a finite trace value proves the iterate finite.  Every
+    iterate is a fresh array, so a callback may keep the marginals it
+    is handed.
 
     Returns
     -------
     (marginals, report) : (ndarray, SolveReport)
-        `report.objective_trace` holds the objective in original
-        (unshifted) units at the initial point and after each iteration;
-        it is non-decreasing up to roundoff.  `report.final_objective`
-        equals the last trace entry.
+        The report's trace is non-decreasing up to roundoff.
 
     Raises
     ------
@@ -404,13 +461,18 @@ def solve(graph, potentials, config=None, callback=None):
     ones = np.ones(graph.num_labels)
 
     mu = _initial_marginals(b, config.init)
-    change = np.empty_like(mu)
-    head = np.empty(min(_PROBE, mu.size))
+    change = np.empty(mu.size)
+    stop = _StopTest(config.tol, config.max_iterations, np.empty(min(_PROBE, mu.size)))
+
+    def scan(new, old, it):
+        delta = _max_change(new, old, change)
+        # finite iterates can differ by an overflow: fail on non-finite ones
+        if not delta < np.inf and not _finite(new):
+            raise SolverFailure(f"non-finite marginals at iteration {it}")
+        return delta
+
     a, qa = mu.ravel(), matvec(mu)
-    trace = [float(b_flat @ a + a @ qa.ravel()) - terms.offset]
-    probe = True
-    converged = False
-    iterations = 0
+    stop.trace.append(float(b_flat @ a + a @ qa.ravel()) - terms.offset)
     for it in range(1, config.max_iterations + 1):
         # gradient b + 2 * qa, formed in the matvec's own buffer
         qa *= 2.0
@@ -423,38 +485,13 @@ def solve(graph, potentials, config=None, callback=None):
         new_mu = _step(mu, qa, ones)
         new_a, qa = new_mu.ravel(), matvec(new_mu)
         value = float(b_flat @ new_a + new_a @ qa.ravel()) - terms.offset
-        delta = np.inf
-        if probe and it < config.max_iterations and -np.inf < value < np.inf:
-            # the iterate is finite (see the docstring): the leading
-            # entries bound the max change from below
-            np.subtract(new_a[: head.size], a[: head.size], out=head)
-            probe = max(head.max(), -head.min()) >= config.tol
-        else:
-            probe = False
-        if not probe:
-            # a non-finite iterate makes the change non-finite, so the
-            # iterate is scanned only then (finite iterates can differ by
-            # an overflow)
-            np.subtract(new_mu, mu, out=change)
-            high, low = change.max(), change.min()
-            if not (-np.inf < low and high < np.inf) and not _finite(new_mu):
-                raise SolverFailure(f"non-finite marginals at iteration {it}")
-            delta = float(max(high, -low))
+        settled = stop.settled(it, value, new_a, a, scan)
         mu, a = new_mu, new_a
-        trace.append(value)
-        iterations = it
         if callback is not None:
             callback(it, mu)
-        if delta < config.tol:
-            converged = True
+        if settled:
             break
-    report = SolveReport(
-        iterations=iterations,
-        final_objective=trace[-1],
-        objective_trace=trace,
-        converged=converged,
-    )
-    return mu, report
+    return mu, stop.report()
 
 
 def solve_constrained(graph, potentials, constraint_sets, config=None, callback=None):

@@ -146,6 +146,11 @@ def test_lbp_damping_validation_and_iteration_cap():
         lbp_map(graph, pot, damping=1.0)
     _, report = lbp_map(graph, pot, max_iters=3)
     assert report.iterations <= 3
+    for cap in (0, -1, 2.5, True):
+        with pytest.raises(ValueError, match="max_iters"):
+            lbp_map(graph, pot, max_iters=cap)
+    _, report = lbp_map(graph, pot, max_iters=np.int64(1))
+    assert report.iterations == 1
 
 
 def _outcome(decoder, graph, pot, **kwargs):

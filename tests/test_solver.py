@@ -568,8 +568,13 @@ def test_stop_test_probe_matches_a_whole_iterate_scan(lead, config):
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError, match="max_iterations"):
-        SolverConfig(max_iterations=0)
+    for cap in (0, -1, 2.5, 3.0, True, np.bool_(True), "3"):
+        with pytest.raises(ValueError, match="max_iterations"):
+            SolverConfig(max_iterations=cap)
+    # numpy integers pass
+    graph, pot = CrfGraph(1, 2, []), Potentials([[1.0, 0.0]], np.zeros((0, 2, 2)))
+    _, report = solve(graph, pot, SolverConfig(max_iterations=np.int64(1), tol=1e-300))
+    assert report.iterations == 1
     for tol in (0.0, float("nan")):
         with pytest.raises(ValueError, match="tol"):
             SolverConfig(tol=tol)
@@ -592,6 +597,23 @@ def test_poisoned_iterate_raises_solver_failure():
         # inf / inf rows warn on their way to NaN
         with np.errstate(invalid="ignore"), pytest.raises(SolverFailure, match="non-finite"):
             solve(graph, pot, callback=poison)
+
+
+def test_non_finite_iterate_raises_non_finite_marginals():
+    # node 2 is isolated, so its poisoned row never reaches the gradient
+    # of the other rows, and its own gradient row stays its finite unary
+    graph = CrfGraph(3, 2, [(0, 1)])
+    pot = Potentials([[1.0, 0.5], [0.5, 1.0], [0.2, 0.3]], [np.eye(2)])
+
+    for bad in (np.inf, np.nan):
+
+        def poison(iteration, mu):
+            if iteration == 3:
+                mu[2] = bad
+
+        with np.errstate(invalid="ignore"), pytest.raises(SolverFailure) as failure:
+            solve(graph, pot, SolverConfig(tol=1e-300), callback=poison)
+        assert str(failure.value) == "non-finite marginals at iteration 4"
 
 
 def test_constrained_solve_with_no_sets_matches_unconstrained():
