@@ -220,6 +220,8 @@ def _format_metrics(report, fmt):
 
 
 def _cmd_eval(args):
+    if args.labels is not None and args.labels < 1:
+        raise ValueError(f"--labels must be a positive integer, got {args.labels}")
     predicted = _read_labeling(args.predicted)
     truth = _read_labeling(args.truth)
     if predicted.shape != truth.shape:

@@ -142,6 +142,13 @@ def compute_gradient(graph, potentials, marginals):
     same sparse operator that `solve` iterates with, on the unshifted
     potentials.
 
+    On Potts graphs that operator takes every row of `marginals` to sum
+    to 1, so the gradient is exact on the simplex.  At marginals that
+    `check_marginals` accepts, rows within delta <= 1e-9 of 1, it
+    differs from the polynomial gradient by at most
+    2 * delta * max_i sum_j |o_ij| besides rounding, where o_ij is the
+    off-diagonal weight of (psi + psi^T) / 2 on edge (i, j).
+
     Raises ValueError when the gradient overflows float64, as it does
     when psi + psi^T does.
     """
@@ -292,10 +299,14 @@ def _quadratic_operator(graph, terms):
     Both operators are laid out on one sorted pattern,
     `_directed_pattern`, so sums run in the order scipy's COO conversion
     gave them.  On Potts graphs each edge's symmetric part is
-    o * 11^T + (d - o) * I, and the operator is two N x N adjacencies
-    with 2E non-zeros each: W_delta @ mu + (W_o @ rowsum(mu)) broadcast
-    over labels.  Any other graph uses `_general_csr`, with 2 * E * K^2
-    non-zeros in general block rows."""
+    o * 11^T + (d - o) * I, so the product is W_delta @ mu plus
+    W_o @ rowsum(mu) broadcast over labels.  Every row sum is taken as
+    1, which makes the second term a per-node constant formed once, and
+    the operator one N x N adjacency with 2E non-zeros.  The product is
+    exact on the simplex; at rows within delta of 1 it differs from the
+    polynomial's by at most delta * max_i sum_j |o_ij|.  Any other graph
+    uses `_general_csr`, with 2 * E * K^2 non-zeros in general block
+    rows."""
     n, k = graph.num_nodes, graph.num_labels
     if not graph.num_edges:
         return lambda mu: np.zeros((n, k))
@@ -309,14 +320,13 @@ def _quadratic_operator(graph, terms):
         return sp.csr_matrix((weights[edge_of], indices, indptr), shape=(n, n))
 
     diag, off = 0.5 * terms.potts.T
-    w_delta, w_off = adjacency(diag - off), adjacency(off)
-    ones = np.ones(k)
+    w_delta = adjacency(diag - off)
+    # W_o @ rowsum(mu) with every row sum taken as 1, repeated over labels
+    constant = np.repeat(adjacency(off) @ np.ones(n), k).reshape(n, k)
 
     def potts_matvec(mu):
         out = w_delta @ mu
-        # a (N, 1) broadcast runs one K-wide inner loop per row; the
-        # repeated column adds the same value to each entry in one pass
-        out += np.repeat(w_off @ (mu @ ones), k).reshape(n, k)
+        out += constant
         return out
 
     return potts_matvec
@@ -417,9 +427,12 @@ def solve(graph, potentials, config=None, callback=None):
 
     When every edge's block is Potts (all diagonal entries bitwise
     equal, all off-diagonal entries bitwise equal, edge by edge), the
-    pairwise term runs on two N x N adjacencies with 2E non-zeros
-    instead of a K x K block per edge; traces agree with the general
-    operator to roundoff, as the sums run in another order.  Potts is
+    pairwise term runs on one N x N adjacency with 2E non-zeros and a
+    per-node constant instead of a K x K block per edge; traces agree
+    with the general operator to roundoff, as the sums run in another
+    order.  The constant takes every row sum as 1, so the product is
+    exact on the simplex; every iterate is normalised row by row, so its
+    rows stay within a few ulp of 1 and so does the product.  Potts is
     decided from the raw blocks, which are read once: the floor shift
     then acts on the per-edge (diagonal, off-diagonal) weights, and no
     K x K block is copied.  A graph whose raw blocks are not all Potts

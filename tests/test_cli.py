@@ -201,6 +201,10 @@ def test_eval_rejects_bad_labelings(tmp_path, capsys):
     empty.write_text("\n")
     assert cli.main(["eval", str(empty), str(short)]) == 2
     assert "no labels found" in capsys.readouterr().err
+    # a label count below 1 is refused by name, not taken as "infer"
+    for count in ("0", "-3"):
+        assert cli.main(["eval", str(short), str(short), "--labels", count]) == 2
+        assert f"--labels must be a positive integer, got {count}" in capsys.readouterr().err
 
 
 def test_input_errors_exit_2(tmp_path, capsys):

@@ -225,6 +225,68 @@ def test_potts_operator_matches_edge_loop():
         assert _operator_error(graph, pot.pairwise, mu) < 1e-12
 
 
+def _off_diagonal_reach(graph, pairwise):
+    """max_i sum_j |o_ij|, o_ij the off-diagonal weight of edge (i, j)'s
+    symmetric part, summed edge by edge."""
+    reach = np.zeros(graph.num_nodes)
+    for e, (i, j) in enumerate(graph.edges.tolist()):
+        off = abs(0.5 * (pairwise[e, 0, 1] + pairwise[e, 1, 0]))
+        reach[i] += off
+        reach[j] += off
+    return reach.max(initial=0.0)
+
+
+def test_potts_gradient_off_the_simplex_stays_in_its_envelope():
+    """The Potts operator takes every row sum as 1.  At rows that sum to
+    1 +- delta, as `check_marginals` lets through, `compute_gradient`
+    differs from the polynomial gradient by at most
+    2 * delta * max_i sum_j |o_ij|."""
+    rng = np.random.default_rng(43)
+    delta = 1e-10
+    for trial in range(30):
+        n = int(rng.integers(2, 30))
+        k = int(rng.integers(2, 8))
+        graph, pot = random_potts_instance(rng, n, k, edge_prob=0.3)
+        if not graph.num_edges:
+            continue
+        if trial % 3 == 0:
+            dis = rng.uniform(0.0, 1.0, size=graph.num_edges)
+            pot = Potentials(pot.unary, pairwise_potential(dis, k))
+        mu = random_marginals(rng, n, k)
+        mu *= (1.0 + rng.choice([-delta, delta], size=n))[:, None]
+        rows = np.abs(mu.sum(axis=1) - 1.0)
+        assert rows.max() < 1.01 * delta and rows.min() > 0.99 * delta
+        got = compute_gradient(graph, pot, mu)
+        want = pot.unary + 2.0 * loop_pairwise_matvec(graph, pot.pairwise, mu)
+        bound = 2.0 * rows.max() * _off_diagonal_reach(graph, pot.pairwise)
+        error = np.max(np.abs(got - want))
+        rounding = 1e-14 * max(1.0, np.max(np.abs(want)))
+        assert error <= bound + rounding, (trial, error, bound)
+
+
+def test_potts_solve_follows_an_edge_loop_iteration():
+    """`solve` on scene-sweep-recipe scenes against iterates built with
+    no code of `_quadratic_operator`: each step is `iterate` along the
+    edge-loop gradient of the floor-shifted potentials, from the same
+    uniform start."""
+    steps = 30
+    config = SolverConfig(max_iterations=steps, tol=1e-300)
+    for seed in range(3):
+        scene = generate_scene(20, 20, 6, 7, noise=0.6, seed=seed)
+        graph, pot = scene.graph, scene.potentials
+        assert _potts_weights(pot.pairwise) is not None
+        got = []
+        solve(graph, pot, config, callback=lambda _, mu: got.append(mu))
+        assert len(got) == steps
+        unary, pairwise, _ = shift_to_floor(pot.unary, pot.pairwise)
+        want = _initial_marginals(unary, "uniform")
+        for it, mu in enumerate(got, 1):
+            gradient = unary + 2.0 * loop_pairwise_matvec(graph, pairwise, want)
+            want = iterate(want, gradient)
+            assert np.max(np.abs(mu - want)) <= 1e-12, (seed, it)
+            assert extract_labeling(mu).tolist() == extract_labeling(want).tolist()
+
+
 def test_general_operator_is_the_coo_construction():
     """`_general_csr` lays the blocks out on the sorted edge pattern;
     its row pointers, column indices (values and dtype) and the bits of
