@@ -296,9 +296,8 @@ def lbp_map(graph, potentials, max_iters=200, damping=0.5):
         same, differ = np.tile(terms.potts.T, 2)
         message = _potts_messages(same, differ)
     else:
-        sym2 = terms.sums
-        psi_dir = np.concatenate([sym2, sym2.transpose(0, 2, 1)])
-        message = _dense_messages(np.ascontiguousarray(psi_dir.transpose(1, 2, 0)))
+        # the sums are bitwise symmetric: both directions share a block
+        message = _dense_messages(np.tile(terms.sums.transpose(1, 2, 0), 2))
 
     # Label-major storage: messages (K, 2E) and beliefs (K, N), so every
     # reduction over labels runs along the leading axis.  Gathers use

@@ -134,9 +134,12 @@ def _read_labeling(path):
         if not text:
             continue
         try:
-            labels.append(int(text))
+            label = int(text)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: not an integer label: {text!r}")
+        if label < 0:
+            raise ValueError(f"{path}:{lineno}: negative label: {text!r}")
+        labels.append(label)
     if not labels:
         raise ValueError(f"{path}: no labels found")
     return np.array(labels, dtype=np.int64)
@@ -229,6 +232,11 @@ def _cmd_eval(args):
             f"length mismatch: {args.predicted} has {predicted.size} labels, "
             f"{args.truth} has {truth.size}"
         )
+    for path, labels in ((args.predicted, predicted), (args.truth, truth)):
+        if args.labels is not None and labels.max() >= args.labels:
+            raise ValueError(
+                f"{path} holds label {labels.max()}, not below --labels {args.labels}"
+            )
     num_labels = args.labels or int(max(predicted.max(), truth.max())) + 1
     report = compute_metrics(truth, predicted, num_labels)
     print(_format_metrics(report, args.format))

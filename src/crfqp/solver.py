@@ -241,7 +241,10 @@ class _DecoderTerms(NamedTuple):
     amount the shift adds to the objective, and the pairwise sums
     psi + psi^T of every edge, either as (E, 2) Potts (diagonal,
     off-diagonal) weights or, when some edge is not Potts, as full
-    (E, K, K) blocks."""
+    (E, K, K) blocks.  IEEE addition is commutative, so each block of
+    `sums` equals its own transpose bit for bit (signed zeros and
+    overflows to inf included), and both directions of an edge use the
+    same block."""
 
     unary: np.ndarray
     offset: float
@@ -279,7 +282,7 @@ def _decoder_terms(potentials, shift=True):
 def _directed_pattern(graph):
     """Both directions of every edge as an N x N CSR pattern with
     column-sorted rows: row pointers, column indices, and each entry's
-    directed edge d (edge d from i to j, or edge d - E from j to i)."""
+    edge (entry (i, j) and entry (j, i) both name edge (i, j))."""
     n, ea = graph.num_nodes, graph.edges
     rows = np.concatenate([ea[:, 0], ea[:, 1]])
     cols = np.concatenate([ea[:, 1], ea[:, 0]])
@@ -288,7 +291,7 @@ def _directed_pattern(graph):
     order = np.argsort(rows * n + cols, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr, cols[order], order
+    return indptr, cols[order], order % graph.num_edges
 
 
 def _quadratic_operator(graph, terms):
@@ -296,25 +299,29 @@ def _quadratic_operator(graph, terms):
     equal to the pairwise objective term and gradient contribution
     2 * matvec(mu), built from `_decoder_terms`.
 
-    Both operators are laid out on one sorted pattern,
-    `_directed_pattern`, so sums run in the order scipy's COO conversion
-    gave them.  On Potts graphs each edge's symmetric part is
-    o * 11^T + (d - o) * I, so the product is W_delta @ mu plus
-    W_o @ rowsum(mu) broadcast over labels.  Every row sum is taken as
-    1, which makes the second term a per-node constant formed once, and
-    the operator one N x N adjacency with 2E non-zeros.  The product is
-    exact on the simplex; at rows within delta of 1 it differs from the
-    polynomial's by at most delta * max_i sum_j |o_ij|.  Any other graph
-    uses `_general_csr`, with 2 * E * K^2 non-zeros in general block
-    rows."""
+    Both operators are one sorted pattern, `_directed_pattern`, with
+    per-edge values gathered onto its entries: a scalar per entry for
+    Potts, a K x K block per entry otherwise.  On Potts graphs each
+    edge's symmetric part is o * 11^T + (d - o) * I, so the product is
+    W_delta @ mu plus W_o @ rowsum(mu) broadcast over labels.  Every row
+    sum is taken as 1, which makes the second term a per-node constant
+    formed once, and the operator one N x N adjacency with 2E non-zeros.
+    The product is exact on the simplex; at rows within delta of 1 it
+    differs from the polynomial's by at most delta * max_i sum_j |o_ij|.
+    Any other graph is an (N*K, N*K) block-sparse (BSR) matrix with one
+    block (psi + psi^T) / 2 per entry: the sums are bitwise symmetric,
+    so both directions of an edge hold the same block.  BSR's product
+    sums each row block by block and within a block column by column,
+    the order of scipy's COO conversion of the same entries."""
     n, k = graph.num_nodes, graph.num_labels
     if not graph.num_edges:
         return lambda mu: np.zeros((n, k))
+    indptr, indices, edge_of = _directed_pattern(graph)
     if terms.potts is None:
-        quad = _general_csr(graph, 0.5 * terms.sums)
+        blocks = terms.sums[edge_of]
+        blocks *= 0.5
+        quad = sp.bsr_matrix((blocks, indices, indptr), shape=(n * k, n * k))
         return lambda mu: (quad @ mu.ravel()).reshape(n, k)
-    indptr, indices, order = _directed_pattern(graph)
-    edge_of = order % graph.num_edges
 
     def adjacency(weights):
         return sp.csr_matrix((weights[edge_of], indices, indptr), shape=(n, n))
@@ -330,29 +337,6 @@ def _quadratic_operator(graph, terms):
         return out
 
     return potts_matvec
-
-
-def _general_csr(graph, blocks):
-    """The (N*K, N*K) CSR with entry ((i, p), (j, q)) = blocks[e][p, q]
-    for edge e = (i, j), transposed for e = (j, i).  Row (i, p) holds
-    row p of each of i's directed blocks, K entries per neighbour in
-    `_directed_pattern`'s order: the arrays scipy's COO conversion
-    makes of the same entries, which never share a position."""
-    n, k = graph.num_nodes, graph.num_labels
-    indptr, indices, order = _directed_pattern(graph)
-    labels = np.arange(k)
-    # chunk c of row (i, p), one per neighbour, is pattern entry
-    # indptr[i] + c - first[i * K + p]
-    chunks = np.repeat(np.diff(indptr), k)
-    first = np.zeros(n * k + 1, dtype=np.int64)
-    np.cumsum(chunks, out=first[1:])
-    entry = np.arange(first[-1]) + np.repeat(np.repeat(indptr[:-1], k) - first[:-1], chunks)
-    label = np.repeat(np.tile(labels, n), chunks)
-    # row p of directed block d is row d * K + p of these
-    rows = np.concatenate([blocks, blocks.transpose(0, 2, 1)]).reshape(-1, k)
-    data = np.take(rows, order[entry] * k + label, axis=0).ravel()
-    cols = np.take(indices[:, None] * k + labels, entry, axis=0).ravel()
-    return sp.csr_matrix((data, cols, first * k), shape=(n * k, n * k))
 
 
 def _finite(x):

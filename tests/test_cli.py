@@ -205,6 +205,19 @@ def test_eval_rejects_bad_labelings(tmp_path, capsys):
     for count in ("0", "-3"):
         assert cli.main(["eval", str(short), str(short), "--labels", count]) == 2
         assert f"--labels must be a positive integer, got {count}" in capsys.readouterr().err
+    # a negative label is named by file and line, a label at or above
+    # --labels by file and flag
+    negative = tmp_path / "negative.labels"
+    negative.write_text("0\n\n-1\n")
+    assert cli.main(["eval", str(negative), str(long)]) == 2
+    assert f"{negative}:3: negative label: '-1'" in capsys.readouterr().err
+    high = tmp_path / "high.labels"
+    high.write_text("0\n3\n1\n")
+    for argv in ([high, long], [long, high]):
+        assert cli.main(["eval", *map(str, argv), "--labels", "2"]) == 2
+        assert f"{high} holds label 3, not below --labels 2" in capsys.readouterr().err
+    assert cli.main(["eval", str(high), str(high), "--labels", "4"]) == 0
+    capsys.readouterr()
 
 
 def test_input_errors_exit_2(tmp_path, capsys):

@@ -26,7 +26,6 @@ from crfqp.potentials import pairwise_potential
 from crfqp.solver import (
     _PROBE,
     _decoder_terms,
-    _general_csr,
     _initial_marginals,
     _potts_weights,
     _quadratic_operator,
@@ -288,58 +287,96 @@ def test_potts_solve_follows_an_edge_loop_iteration():
 
 
 def test_general_operator_is_the_coo_construction():
-    """`_general_csr` lays the blocks out on the sorted edge pattern;
-    its row pointers, column indices (values and dtype) and the bits of
-    its data equal those of scipy's COO conversion of the same entries,
-    which leaves the order of every sum in the product unchanged."""
-
-    def check(graph, blocks):
-        got, want = _general_csr(graph, blocks), coo_general_csr(graph, blocks)
-        assert got.shape == want.shape
-        for name in ("indptr", "indices"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype
-            np.testing.assert_array_equal(a, b)
-        assert got.data.tobytes() == want.data.tobytes()
-
+    """The general operator's product equals, bit for bit, that of
+    scipy's COO conversion of the halved pairwise sums: the BSR layout
+    on the sorted edge pattern leaves the order of every sum unchanged."""
     rng = np.random.default_rng(71)
 
-    def blocks_for(graph):
+    def check(graph):
         # raw blocks, asymmetric, with signed zeros among them
-        k = graph.num_labels
+        n, k = graph.num_nodes, graph.num_labels
         blocks = rng.uniform(-1.0, 1.0, size=(graph.num_edges, k, k))
         blocks[rng.uniform(size=blocks.shape) < 0.1] = -0.0
-        return blocks
+        check_terms(graph, _decoder_terms(Potentials(np.zeros((n, k)), blocks), shift=False))
+
+    def check_terms(graph, terms):
+        n, k = graph.num_nodes, graph.num_labels
+        if graph.num_edges:
+            assert terms.potts is None
+            sums = terms.sums
+        else:
+            sums = np.zeros((0, k, k))
+        mu = random_marginals(rng, n, k)
+        want = coo_general_csr(graph, 0.5 * sums) @ mu.ravel()
+        got = _quadratic_operator(graph, terms)(mu)
+        assert got.shape == (n, k)
+        assert got.tobytes() == want.tobytes()
 
     for trial in range(40):
         n = int(rng.integers(1, 25))
         k = 2 if trial % 4 == 0 else int(rng.integers(3, 7))
         # sparse graphs leave isolated nodes, E = 0 among them
-        graph = random_graph(rng, n, k, edge_prob=float(rng.uniform(0.0, 0.4)))
-        check(graph, blocks_for(graph))
-    check(CrfGraph(3, 2), np.zeros((0, 2, 2)))
+        check(random_graph(rng, n, k, edge_prob=float(rng.uniform(0.0, 0.4))))
+    check(CrfGraph(3, 2))
     # a hub of degree 45 in the middle of the node order, among other
     # edges and isolated nodes
     edges = {(min(20, j), max(20, j)) for j in range(60) if j != 20 and j % 4}
     edges |= {(i, i + 1) for i in range(0, 60, 7)}
     hub = CrfGraph(64, 3, sorted(edges))
     assert np.bincount(hub.edges.ravel())[20] >= 40
-    check(hub, blocks_for(hub))
+    check(hub)
     # the blocks the solver sees: supernode reductions, whose merged
-    # blocks are sums and transposes of the raw ones
+    # blocks are sums and transposes of the raw ones, shifted or not
     for _ in range(10):
         graph, pot = random_instance(rng, 20, 4, edge_prob=0.3)
         sets = ConstraintSets(random_disjoint_sets(rng, 20, max_sets=5))
         reduced = reduce_problem(graph, pot, sets)
-        check(reduced.super_graph, reduced.reduced.pairwise)
-        sums = _decoder_terms(reduced.reduced).sums
-        check(reduced.super_graph, 0.5 * sums)
-    # and the operator the solver iterates with is that CSR's product
-    mu = random_marginals(rng, 20, 4)
-    terms = _decoder_terms(pot, shift=False)
-    want = coo_general_csr(graph, 0.5 * terms.sums) @ mu.ravel()
-    got = _quadratic_operator(graph, terms)(mu)
-    assert got.tobytes() == want.reshape(20, 4).tobytes()
+        check(reduced.super_graph)
+        for shift in (True, False):
+            check_terms(reduced.super_graph, _decoder_terms(reduced.reduced, shift=shift))
+
+
+def test_pairwise_sums_are_bitwise_symmetric():
+    """Both general decoders give the two directions of an edge one
+    block of `_DecoderTerms.sums`, which holds because psi + psi^T is
+    its own transpose bit for bit: signed zeros and overflows included."""
+    rng = np.random.default_rng(29)
+
+    def check(pot, shifts=(True, False)):
+        """The sums of `pot` under each shift, checked symmetric."""
+        out = []
+        for shift in shifts:
+            with np.errstate(over="ignore"):
+                sums = _decoder_terms(pot, shift=shift).sums
+            assert sums is not None
+            assert sums.tobytes() == np.ascontiguousarray(sums.transpose(0, 2, 1)).tobytes()
+            out.append(sums)
+        return out
+
+    def blocks(graph, values):
+        k = graph.num_labels
+        return rng.choice(values, size=(graph.num_edges, k, k))
+
+    for trial in range(20):
+        graph = random_graph(rng, 12, 2 + trial % 5, edge_prob=0.5)
+        n, k = graph.num_nodes, graph.num_labels
+        unary = rng.uniform(-1.0, 1.0, size=(n, k))
+        # asymmetric blocks with signed zeros
+        raw = rng.uniform(-1.0, 1.0, size=(graph.num_edges, k, k))
+        raw[rng.uniform(size=raw.shape) < 0.3] = 0.0
+        raw[rng.uniform(size=raw.shape) < 0.3] = -0.0
+        check(Potentials(unary, raw))
+        # sums overflowing to +inf after the shift, and to +-inf without
+        large = blocks(graph, [0.0, -0.0, 1.0, 1e308, 1.7e308])
+        for sums in check(Potentials(unary, large)):
+            assert np.isposinf(sums).any()
+        signed = blocks(graph, [0.0, -0.0, 1.0, -1.7e308, 1e308, 1.7e308])
+        (sums,) = check(Potentials(unary, signed), shifts=(False,))
+        assert np.isposinf(sums).any() and np.isneginf(sums).any()
+    for _ in range(10):
+        graph, pot = random_instance(rng, 20, 4, edge_prob=0.3)
+        sets = ConstraintSets(random_disjoint_sets(rng, 20, max_sets=5))
+        check(reduce_problem(graph, pot, sets).reduced)
 
 
 def test_potts_detection_is_bitwise_and_per_graph():
