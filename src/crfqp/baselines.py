@@ -10,10 +10,9 @@ psi[p, q] + psi[q, p].
 
 import numpy as np
 
-from .core import _check_dims, extract_labeling, objective_of_labeling
+from .core import _check_count, _check_dims, extract_labeling, objective_of_labeling
 from .solver import (
     SolverFailure,
-    _check_iteration_cap,
     _decoder_terms,
     _max_change,
     _StopTest,
@@ -274,7 +273,7 @@ def lbp_map(graph, potentials, max_iters=200, damping=0.5):
     _check_dims(graph, potentials)
     if not 0.0 <= damping < 1.0:
         raise ValueError(f"damping must lie in [0, 1), got {damping}")
-    _check_iteration_cap("max_iters", max_iters)
+    _check_count("max_iters", max_iters)
     n, k = graph.num_nodes, graph.num_labels
     terms = _decoder_terms(potentials)
 

@@ -21,7 +21,7 @@ import numpy as np
 from .baselines import lbp_map  # noqa: F401
 from .bench import BENCH_NOISE, rows_to_csv, run_benchmark, speedup_summary
 from .cloud import CloudParams, build_constraint_sets
-from .core import objective_of_labeling
+from .core import _check_count, objective_of_labeling
 from .evaluate import DECODERS, decode
 from .metrics import _COLUMNS, compute_metrics
 from .problem_io import ProblemFile, load_problem, save_problem
@@ -223,8 +223,8 @@ def _format_metrics(report, fmt):
 
 
 def _cmd_eval(args):
-    if args.labels is not None and args.labels < 1:
-        raise ValueError(f"--labels must be a positive integer, got {args.labels}")
+    if args.labels is not None:
+        _check_count("--labels", args.labels)
     predicted = _read_labeling(args.predicted)
     truth = _read_labeling(args.truth)
     if predicted.shape != truth.shape:

@@ -6,12 +6,12 @@ discarded, and each remaining cluster is projected onto graph nodes to
 form one label-consistency constraint set.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
+from .core import _as_integers, _check_count, _check_positive
 from .reduction import ConstraintSets
 
 __all__ = [
@@ -42,18 +42,10 @@ class CloudParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("ransac_iterations", "min_cluster_size"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value <= 0:
-                raise ValueError(f"CloudParams.{name} must be a positive integer, got {value!r}")
-        for name in ("plane_inlier_threshold", "cluster_radius"):
-            value = getattr(self, name)
-            # NaN fails the comparison
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (real and 0 < value < np.inf):
-                raise ValueError(
-                    f"CloudParams.{name} must be a finite positive number, got {value!r}"
-                )
+        _check_count("CloudParams.ransac_iterations", self.ransac_iterations)
+        _check_count("CloudParams.min_cluster_size", self.min_cluster_size)
+        _check_positive("CloudParams.plane_inlier_threshold", self.plane_inlier_threshold)
+        _check_positive("CloudParams.cluster_radius", self.cluster_radius)
 
 
 @dataclass(frozen=True)
@@ -72,16 +64,10 @@ class NodeProjection:
     mapping: np.ndarray
 
     def __init__(self, mapping):
-        raw = np.asarray(mapping)
-        if raw.ndim != 1:
+        message = "projection mapping must hold integer node indices, not booleans: {!r}"
+        mapping = _as_integers(mapping, message)
+        if mapping.ndim != 1:
             raise ValueError("projection mapping must be 1-D")
-        if raw.dtype.kind == "b":
-            raise ValueError("projection mapping must hold node indices, not booleans")
-        with np.errstate(invalid="ignore"):
-            mapping = raw.astype(np.int64)
-        # NaN, infinities and fractions cast to something else
-        if raw.dtype.kind not in "iu" and not np.array_equal(mapping, raw):
-            raise ValueError("projection mapping must hold integer node indices")
         object.__setattr__(self, "mapping", mapping)
 
 

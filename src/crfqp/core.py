@@ -10,11 +10,45 @@ i.e. each undirected edge contributes in both directions.  Integer
 labelings are scored by the same expression with one-hot rows.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["CrfGraph", "Potentials", "objective_of_labeling", "extract_labeling"]
+
+_SIMPLEX_TOL = 1e-9
+
+
+def _check_count(name, value, least=1, unit=""):
+    """`value` as an int; ValueError naming `name` unless an integer >= `least`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        minimum = f" (at least {least} {unit})" if unit else ""
+        raise ValueError(f"{name} must be a positive integer{minimum}, got {value!r}")
+    return int(value)
+
+
+def _check_positive(name, value):
+    """Raise ValueError naming `name` unless `value` is a finite real above 0."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and 0 < value < np.inf):  # NaN fails the comparison
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _as_integers(values, message):
+    """`values` as a new C-ordered int64 array; ValueError(message), formatted
+    with the first bool, string, fraction, NaN or infinity, if it holds one."""
+    x = np.asarray(values)
+    if x.dtype.kind == "i":
+        return x.astype(np.int64, order="C")
+    numeric = x.dtype.kind in "uf"
+    with np.errstate(invalid="ignore"):
+        cast = x.astype(np.int64, order="C") if numeric else np.zeros(x.shape, np.int64)
+    # NaN, infinities, fractions and values beyond int64 change in the cast
+    bad = np.flatnonzero(cast != x) if numeric else np.arange(x.size)
+    if bad.size:
+        raise ValueError(message.format(x.item(bad[0])))
+    return cast
 
 
 @dataclass(frozen=True)
@@ -32,11 +66,9 @@ class CrfGraph:
     edges: np.ndarray
 
     def __init__(self, num_nodes, num_labels, edges=()):
-        if num_nodes < 1:
-            raise ValueError(f"num_nodes must be positive, got {num_nodes}")
-        if num_labels < 2:
-            raise ValueError(f"num_labels must be >= 2, got {num_labels}")
-        edges = np.array(edges, dtype=np.int64, order="C")
+        num_nodes = _check_count("num_nodes", num_nodes)
+        num_labels = _check_count("num_labels", num_labels, 2, "labels")
+        edges = _as_integers(edges, "edges must hold integer node indices, got {!r}")
         if edges.size == 0:
             edges = edges.reshape(0, 2)
         if edges.ndim != 2 or edges.shape[1] != 2:
@@ -59,8 +91,8 @@ class CrfGraph:
                 raise ValueError(f"edge {pair} must satisfy 0 <= i < j < {num_nodes}")
             raise ValueError(f"duplicate edge {pair}")
         edges.flags.writeable = False
-        object.__setattr__(self, "num_nodes", int(num_nodes))
-        object.__setattr__(self, "num_labels", int(num_labels))
+        object.__setattr__(self, "num_nodes", num_nodes)
+        object.__setattr__(self, "num_labels", num_labels)
         object.__setattr__(self, "edges", edges)
 
     @property
@@ -108,9 +140,9 @@ def _check_dims(graph, potentials):
         )
 
 
-def check_marginals(marginals, num_nodes=None, num_labels=None, tol=1e-9):
+def check_marginals(marginals, num_nodes=None, num_labels=None):
     """Validate a marginals array: shape, entries in [0, 1], rows on the
-    probability simplex within `tol`.  Returns the array as float64."""
+    probability simplex within `_SIMPLEX_TOL`.  Returns it as float64."""
     mu = np.asarray(marginals, dtype=np.float64)
     if mu.ndim != 2:
         raise ValueError(f"marginals must be 2-D, got shape {mu.shape}")
@@ -122,27 +154,20 @@ def check_marginals(marginals, num_nodes=None, num_labels=None, tol=1e-9):
     if not (mu.min(initial=0.0) >= -1e-12 and mu.max(initial=0.0) <= 1.0 + 1e-12):
         raise ValueError("marginal entries must lie in [0, 1]")
     sums = mu.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > tol):
+    if np.any(np.abs(sums - 1.0) > _SIMPLEX_TOL):
         worst = int(np.argmax(np.abs(sums - 1.0)))
         raise ValueError(
-            f"marginal row {worst} sums to {sums[worst]!r}, expected 1 +/- {tol}"
+            f"marginal row {worst} sums to {sums[worst]!r}, expected 1 +/- {_SIMPLEX_TOL}"
         )
     return mu
 
 
 def check_labeling(labeling, num_nodes, num_labels):
     """Validate a labeling vector and return it as an int64 array.
-    Values of a non-integer dtype must be integral; integer dtypes skip
-    that check."""
-    x = np.asarray(labeling)
+    Floats must hold integral values; bools are not labels."""
+    x = _as_integers(labeling, "labels must be integers, got {!r}")
     if x.ndim != 1 or x.shape[0] != num_nodes:
         raise ValueError(f"labeling must have shape ({num_nodes},), got {x.shape}")
-    with np.errstate(invalid="ignore"):
-        cast = x.astype(np.int64)
-    # NaN, infinities and out-of-range values cast to something else
-    if x.dtype.kind not in "iub" and not np.array_equal(cast, x):
-        raise ValueError("labels must be integers")
-    x = cast
     if x.size and (x.min() < 0 or x.max() >= num_labels):
         raise ValueError(f"labels must lie in [0, {num_labels})")
     return x

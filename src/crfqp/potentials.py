@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _check_positive
+
 __all__ = ["bhattacharyya_distance"]
 
 
@@ -96,8 +98,8 @@ class PotentialParams:
     theta_l: float
 
     def __post_init__(self):
-        if self.theta <= 0 or self.theta_c <= 0 or self.theta_l <= 0:
-            raise ValueError("all potential parameters must be positive")
+        for name in ("theta", "theta_c", "theta_l"):
+            _check_positive(f"PotentialParams.{name}", getattr(self, name))
 
 
 def build_edges(centroids, theta):

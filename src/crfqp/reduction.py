@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .core import CrfGraph, Potentials, _check_dims, check_marginals
+from .core import CrfGraph, Potentials, _as_integers, _check_dims, check_marginals
 
 __all__ = [
     "ConstraintSets",
@@ -36,8 +36,12 @@ class ConstraintSets:
     def __init__(self, sets=()):
         normalized = []
         seen = set()
-        for s in sets:
-            members = tuple(sorted(map(_node_index, s)))
+        # numpy would cast a bool or str member with the rest: it goes alone
+        alone = (bool, np.bool_, str)
+        for s in map(list, sets):
+            odd = [i for i in s if type(i) in alone]
+            nodes = _as_integers(odd[:1] or s, "constraint set node {!r} is not an integer")
+            members = tuple(sorted(nodes.tolist()))
             if len(members) < 2:
                 raise ValueError(f"constraint set {members} has fewer than 2 nodes")
             if len(set(members)) != len(members):
@@ -61,13 +65,6 @@ class ConstraintSets:
         for s in self.sets:
             if s[-1] >= num_nodes:
                 raise ValueError(f"constraint set {s} exceeds node count {num_nodes}")
-
-
-def _node_index(i):
-    j = int(i)
-    if j != i:
-        raise ValueError(f"constraint set node {i!r} is not an integer")
-    return j
 
 
 @dataclass(frozen=True)

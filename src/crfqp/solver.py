@@ -15,14 +15,19 @@ offset is recorded and objectives are reported in the original units.
 All nodes update synchronously from the previous iterate.
 """
 
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .core import _check_dims, check_marginals, extract_labeling
+from .core import (
+    _check_count,
+    _check_dims,
+    _check_positive,
+    check_marginals,
+    extract_labeling,
+)
 from .reduction import expand_solution, reduce_problem
 
 __all__ = [
@@ -49,13 +54,6 @@ class SolverFailure(RuntimeError):
     """Raised when the iteration produces non-finite values."""
 
 
-def _check_iteration_cap(name, value):
-    """Raise ValueError naming `name` unless `value` is a positive
-    integer (numpy integers pass; bools and floats do not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """max_iterations: iteration cap; tol: convergence threshold on the
@@ -66,9 +64,8 @@ class SolverConfig:
     init: str = "uniform"
 
     def __post_init__(self):
-        _check_iteration_cap("SolverConfig.max_iterations", self.max_iterations)
-        if not self.tol > 0:  # NaN fails this test
-            raise ValueError("tol must be positive")
+        _check_count("SolverConfig.max_iterations", self.max_iterations)
+        _check_positive("SolverConfig.tol", self.tol)
         if self.init not in ("uniform", "unary_softmax"):
             raise ValueError(f"unknown init strategy {self.init!r}")
 
@@ -314,8 +311,6 @@ def _quadratic_operator(graph, terms):
     sums each row block by block and within a block column by column,
     the order of scipy's COO conversion of the same entries."""
     n, k = graph.num_nodes, graph.num_labels
-    if not graph.num_edges:
-        return lambda mu: np.zeros((n, k))
     indptr, indices, edge_of = _directed_pattern(graph)
     if terms.potts is None:
         blocks = terms.sums[edge_of]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CrfGraph, Potentials
+from .core import CrfGraph, Potentials, _check_count, _check_positive
 from .cloud import NodeProjection
 from .potentials import (
     NodeFeatures,
@@ -98,7 +98,7 @@ def _place_boxes(rng, width, height, num_objects, num_labels):
     than looping forever."""
     boxes = []
     attempts = 0
-    max_attempts = 200 * max(1, num_objects)
+    max_attempts = 200 * num_objects
     lo, hi = _BOX_SIDE_RANGE
     while len(boxes) < num_objects:
         if attempts >= max_attempts:
@@ -109,8 +109,6 @@ def _place_boxes(rng, width, height, num_objects, num_labels):
         attempts += 1
         h = int(rng.integers(lo, min(hi, height) + 1))
         w = int(rng.integers(lo, min(hi, width) + 1))
-        if h > height or w > width:
-            continue
         r0 = int(rng.integers(0, height - h + 1))
         c0 = int(rng.integers(0, width - w + 1))
         r1, c1 = r0 + h, c0 + w
@@ -184,16 +182,13 @@ def generate_scene(
     constant labelings; the default keeps data and smoothing terms at
     comparable scale.
     """
-    if width < 1 or height < 1:
-        raise ValueError("grid dimensions must be positive")
-    if num_labels < 2:
-        raise ValueError("need at least 2 labels")
-    if num_objects < 1:
-        raise ValueError("need at least 1 object")
+    width = _check_count("width", width, _BOX_SIDE_RANGE[0], "cells")
+    height = _check_count("height", height, _BOX_SIDE_RANGE[0], "cells")
+    num_objects = _check_count("num_objects", num_objects, 1, "object")
+    num_labels = _check_count("num_labels", num_labels, 2, "labels")
     if not 0.0 <= noise <= 1.0:
         raise ValueError("noise must lie in [0, 1]")
-    if pairwise_weight <= 0:
-        raise ValueError("pairwise_weight must be positive")
+    _check_positive("pairwise_weight", pairwise_weight)
 
     rng = np.random.default_rng(seed)
     boxes = _place_boxes(rng, width, height, num_objects, num_labels)

@@ -349,6 +349,10 @@ def test_bench_writes_csv_and_prints_speedups(tmp_path, capsys):
     assert f"wrote {out} (2 rows)" in printed
     assert "= " in printed and printed.rstrip().endswith("x")
     assert cli.main(["bench", "--sizes", "abc", "--out", str(out)]) == 2
+    # 4 nodes make a 2 x 2 grid, narrower than the smallest object
+    capsys.readouterr()
+    assert cli.main(["bench", "--sizes", "4", "--out", str(out)]) == 2
+    assert "error: width must be a positive integer (at least 3 cells)" in capsys.readouterr().err
 
 
 def test_bad_usage_exits_via_argparse():

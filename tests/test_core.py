@@ -1,10 +1,26 @@
-"""Graph containers, the double-counted objective, and labeling helpers."""
+"""Graph containers, the double-counted objective, labeling helpers,
+and the input rules every library boundary shares."""
+
+import argparse
 
 import numpy as np
 import pytest
 
-from crfqp import CrfGraph, Potentials, extract_labeling, objective_of_labeling
+import crfqp.cli as cli
+from crfqp import (
+    CloudParams,
+    ConstraintSets,
+    CrfGraph,
+    NodeProjection,
+    Potentials,
+    SolverConfig,
+    extract_labeling,
+    generate_scene,
+    lbp_map,
+    objective_of_labeling,
+)
 from crfqp.core import check_labeling, check_marginals
+from crfqp.potentials import PotentialParams
 from helpers import (
     fancy_objective_of_labeling,
     naive_objective,
@@ -187,3 +203,109 @@ def test_non_integral_labels_are_rejected():
             objective_of_labeling(graph, pot, bad)
     assert check_labeling([1.0, 0.0], 2, 2).tolist() == [1, 0]
     assert check_labeling(np.array([1, 0], dtype=np.uint8), 2, 2).dtype == np.int64
+
+
+def _scene(**kwargs):
+    args = dict(width=12, height=12, num_objects=1, num_labels=3, noise=0.5)
+    args.update(kwargs)
+    return generate_scene(**args)
+
+
+def _eval_labels(tmp_path, value):
+    path = tmp_path / "x.labels"
+    path.write_text("0\n1\n0\n", encoding="utf-8")
+    namespace = argparse.Namespace(predicted=path, truth=path, labels=value, format="csv")
+    return cli._cmd_eval(namespace)
+
+
+_PAIR = (CrfGraph(2, 2, [(0, 1)]), Potentials(np.zeros((2, 2)), [np.eye(2)]))
+
+# (boundary, kind, field the message names, call taking the value)
+BOUNDARIES = [
+    ("CrfGraph", "count", "num_nodes", lambda v, _: CrfGraph(v, 2)),
+    ("CrfGraph", "count", "num_labels", lambda v, _: CrfGraph(3, v)),
+    ("SolverConfig", "count", "max_iterations", lambda v, _: SolverConfig(max_iterations=v)),
+    ("lbp_map", "count", "max_iters", lambda v, _: lbp_map(*_PAIR, max_iters=v)),
+    ("CloudParams", "count", "ransac_iterations", lambda v, _: CloudParams(ransac_iterations=v)),
+    ("CloudParams", "count", "min_cluster_size", lambda v, _: CloudParams(min_cluster_size=v)),
+    ("generate_scene", "count", "width", lambda v, _: _scene(width=v)),
+    ("generate_scene", "count", "height", lambda v, _: _scene(height=v)),
+    ("generate_scene", "count", "num_objects", lambda v, _: _scene(num_objects=v)),
+    ("generate_scene", "count", "num_labels", lambda v, _: _scene(num_labels=v)),
+    ("eval", "count", "--labels", lambda v, tmp: _eval_labels(tmp, v)),
+    ("SolverConfig", "positive", "tol", lambda v, _: SolverConfig(tol=v)),
+    (
+        "CloudParams",
+        "positive",
+        "plane_inlier_threshold",
+        lambda v, _: CloudParams(plane_inlier_threshold=v),
+    ),
+    ("CloudParams", "positive", "cluster_radius", lambda v, _: CloudParams(cluster_radius=v)),
+    ("PotentialParams", "positive", "theta", lambda v, _: PotentialParams(v, 1.0, 1.0)),
+    ("PotentialParams", "positive", "theta_c", lambda v, _: PotentialParams(1.0, v, 1.0)),
+    ("PotentialParams", "positive", "theta_l", lambda v, _: PotentialParams(1.0, 1.0, v)),
+    ("generate_scene", "positive", "pairwise_weight", lambda v, _: _scene(pairwise_weight=v)),
+    # these take the array the test builds, np.full(2, value) or [0, 1]
+    # in a valid dtype; edges reshape it to one pair
+    ("CrfGraph", "array", "edges", lambda a, _: CrfGraph(3, 2, a.reshape(1, 2))),
+    ("check_labeling", "array", "labels", lambda a, _: check_labeling(a, 2, 2)),
+    ("NodeProjection", "array", "node indices", lambda a, _: NodeProjection(a)),
+    ("ConstraintSets", "array", "constraint set node", lambda a, _: ConstraintSets([list(a)])),
+]
+
+# Python and numpy forms of the same value, a string, and non-finite floats
+_BAD = {
+    "count": (True, np.True_, 2.5, np.float64(3.0), "3", np.nan, np.inf, 0, -1),
+    "positive": (True, np.True_, "3", np.nan, np.inf, -np.inf, 0.0, -1.0, None),
+    "array": (True, 2.5, "3", np.nan, np.inf),
+}
+_GOOD = {
+    "count": (3, np.int64(3), np.int32(3), np.uint8(3)),
+    "positive": (2.5, 1, np.float32(0.5), np.float64(0.5), np.int64(2)),
+    # dtypes of the array [0, 1]
+    "array": (int, np.int64, np.int32, np.uint8, float, np.float32),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, field, call", [b[1:] for b in BOUNDARIES], ids=[f"{b[0]}-{b[2]}" for b in BOUNDARIES]
+)
+def test_every_boundary_applies_its_rule(kind, field, call, tmp_path):
+    """One rule per kind of input, the same at every boundary: a count
+    is an integer, a positive number a finite real above 0, and an
+    integer array holds integers or integral floats.  Bools are none of
+    them; numpy scalars and dtypes pass like their Python forms."""
+    for value in _BAD[kind]:
+        with pytest.raises(ValueError, match=field):
+            call(np.full(2, value) if kind == "array" else value, tmp_path)
+    for value in _GOOD[kind]:
+        call(np.array([0, 1], dtype=value) if kind == "array" else value, tmp_path)
+
+
+# each of these was read as something else, without an error; the
+# scene's fractional width raised TypeError
+CORRUPTED = {
+    "fractional-edge-ends": (
+        "edges must hold integer node indices, got 0.5",
+        lambda: CrfGraph(3, 2, [(0.5, 1.7), (1, 2)]),
+    ),
+    "fractional-counts": ("num_nodes", lambda: CrfGraph(2.5, 3.9)),
+    "bool-node": (
+        "constraint set node True is not an integer",
+        lambda: ConstraintSets([(True, 2)]),
+    ),
+    "nan-theta": ("PotentialParams.theta ", lambda: PotentialParams(np.nan, 1, 1)),
+    "bool-tol": ("tol must be positive", lambda: SolverConfig(tol=True)),
+    "infinite-tol": ("tol must be positive", lambda: SolverConfig(tol=np.inf)),
+    "fractional-width": ("width", lambda: generate_scene(width=4.5)),
+    "bool-labeling": (
+        "labels must be integers, got True",
+        lambda: check_labeling(np.array([True, False]), 2, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("message, call", CORRUPTED.values(), ids=CORRUPTED.keys())
+def test_inputs_that_were_corrupted_now_fail(message, call):
+    with pytest.raises(ValueError, match=message):
+        call()

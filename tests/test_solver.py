@@ -107,6 +107,18 @@ def test_gradient_without_edges_is_the_unary():
     np.testing.assert_array_equal(compute_gradient(graph, pot, mu), pot.unary)
 
 
+def test_solve_without_edges_steps_along_the_unary():
+    # an edgeless graph takes the Potts operator with an empty adjacency,
+    # whose product is bitwise zero
+    rng = np.random.default_rng(41)
+    for n, k in ((1, 2), (4, 3), (6, 5)):
+        graph = CrfGraph(n, k)
+        pot = Potentials(rng.uniform(-1.0, 1.0, size=(n, k)))
+        mu = random_marginals(rng, n, k)
+        np.testing.assert_array_equal(compute_gradient(graph, pot, mu), pot.unary)
+        _assert_steps_along_compute_gradient(graph, pot, 5)
+
+
 def test_gradient_two_node_identity_edge():
     graph = CrfGraph(2, 2, [(0, 1)])
     pot = Potentials(np.zeros((2, 2)), [np.eye(2)])

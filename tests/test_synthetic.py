@@ -115,6 +115,12 @@ def test_scene_argument_validation():
         small_scene(pairwise_weight=0.0)
     with pytest.raises(ValueError, match="could not place"):
         generate_scene(4, 4, 10, 4, noise=0.5, seed=0)
+    # a side below the smallest object's (3 cells) fails by name, not
+    # inside numpy's sampler
+    for side in ("width", "height"):
+        with pytest.raises(ValueError, match=rf"^{side} must .* \(at least 3 cells\), got 2$"):
+            small_scene(**{side: 2})
+    assert small_scene(width=3, height=3, num_objects=1).boxes[0].r1 == 3
 
 
 def test_tile_candidates_partition_tiles_by_label():
