@@ -12,12 +12,15 @@ labelings are scored by the same expression with one-hot rows.
 
 import numbers
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 __all__ = ["CrfGraph", "Potentials", "objective_of_labeling", "extract_labeling"]
 
 _SIMPLEX_TOL = 1e-9
+
+_BOOLS = frozenset((bool, np.bool_))
 
 
 def _check_count(name, value, least=1, unit=""):
@@ -39,6 +42,13 @@ def _as_integers(values, message):
     """`values` as a new C-ordered int64 array; ValueError(message), formatted
     with the first bool, string, fraction, NaN or infinity, if it holds one."""
     x = np.asarray(values)
+    if isinstance(values, (list, tuple)):
+        # numpy casts a bool among numbers with them: look for one first
+        flat = values
+        for _ in range(x.ndim - 1):
+            flat = list(chain.from_iterable(flat))
+        if not _BOOLS.isdisjoint(map(type, flat)):
+            raise ValueError(message.format(next(v for v in flat if type(v) in _BOOLS)))
     if x.dtype.kind == "i":
         return x.astype(np.int64, order="C")
     numeric = x.dtype.kind in "uf"

@@ -5,6 +5,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import _as_integers
+
 __all__ = ["compute_metrics"]
 
 # The scores of every class and their macro averages, in table order.
@@ -22,8 +24,8 @@ class MetricsReport:
 
 def confusion_matrix(truth, predicted, num_labels):
     """K x K counts with rows indexed by truth, columns by prediction."""
-    truth = np.asarray(truth, dtype=np.int64)
-    predicted = np.asarray(predicted, dtype=np.int64)
+    truth = _as_integers(truth, "truth labels must be integers, got {!r}")
+    predicted = _as_integers(predicted, "predicted labels must be integers, got {!r}")
     if truth.shape != predicted.shape or truth.ndim != 1:
         raise ValueError("truth and predicted must be 1-D arrays of equal length")
     if truth.size == 0:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_positive
+from .core import _as_integers, _check_positive
 
 __all__ = ["bhattacharyya_distance"]
 
@@ -174,7 +174,8 @@ def edge_dissimilarities(features, edges, params):
     theta_l * ||centroid_i - centroid_j|| are clamped at 1, so every
     value lies in [0, 1] for any `NodeFeatures` table.
     """
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    edges = _as_integers(edges, "edges must hold integer node indices, got {!r}")
+    edges = edges.reshape(-1, 2)
     ii, jj = edges[:, 0], edges[:, 1]
 
     hists = features.histograms

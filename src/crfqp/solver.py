@@ -1,6 +1,20 @@
 """Relaxed-QP MAP solver: closed-form gradient plus a normalized
 multiplicative update.
 
+In matrix form the objective of `crfqp.core` is
+
+    F(mu) = b . mu + 1/2 mu . Q mu,    grad F(mu) = b + Q mu,
+
+with b the unary scores and Q the symmetric pairwise operator whose
+(i, j) block is psi_ij + psi_ij^T for every edge (i, j), in both
+directions.  `_quadratic_operator` applies Q itself, so the gradient is
+one product plus b and the objective reuses that product.  Scaling by 2
+is exact in binary floating point, so both carry the bits of the same
+sums formed with Q / 2 wherever the partial sums of Q mu stay finite and
+no halved term would be subnormal.  A partial sum beyond the float64
+range overflows to inf: `solve` then fails on a non-finite gradient and
+`compute_gradient` on an overflow.
+
 The iterate lives on a product of per-node probability simplices.  With
 nonnegative potentials the update
 
@@ -8,7 +22,9 @@ nonnegative potentials the update
 
 is a growth transform of the polynomial objective and never decreases
 it, so potentials are first translated entrywise onto a small positive
-floor, exactly at any offset.  Translating to the floor (rather than
+floor, exactly at any offset.  A zero entry is absorbing: the update
+multiplies it, so once an entry underflows to 0 no later step revives
+it, whatever its gradient.  Translating to the floor (rather than
 lifting only negative entries) keeps the iterate sequence independent
 of a uniform offset c in the input, up to the rounding of p + c; the
 offset is recorded and objectives are reported in the original units.
@@ -128,31 +144,33 @@ def shift_to_floor(unary, pairwise):
 
 
 def compute_gradient(graph, potentials, marginals):
-    """Closed-form objective gradient at `marginals`.
+    """Closed-form objective gradient at `marginals`: for
+    F = b . mu + 1/2 mu . Q mu (module docstring), grad F = b + Q mu, or
 
-    q[i, p] = unary[i, p] + 2 * sum_{j in N(i)} sum_q psi_ij[p, q] * mu[j, q]
+    q[i, p] = unary[i, p] + sum_{j in N(i)} sum_q (psi_ij + psi_ij^T)[p, q] * mu[j, q]
 
-    Each edge contributes through the symmetric part of its matrix,
-    which leaves the objective unchanged and makes this the exact
-    gradient for non-symmetric matrices as well; the dissimilarity
-    construction always produces symmetric ones.  Evaluated through the
-    same sparse operator that `solve` iterates with, on the unshifted
-    potentials.
+    Each edge contributes through psi + psi^T, twice the symmetric part
+    of its matrix, which leaves the objective unchanged and makes this
+    the exact gradient for non-symmetric matrices as well; the
+    dissimilarity construction always produces symmetric ones.
+    Evaluated as unary + Q mu through the same sparse operator that
+    `solve` iterates with, on the unshifted potentials.
 
     On Potts graphs that operator takes every row of `marginals` to sum
     to 1, so the gradient is exact on the simplex.  At marginals that
     `check_marginals` accepts, rows within delta <= 1e-9 of 1, it
     differs from the polynomial gradient by at most
-    2 * delta * max_i sum_j |o_ij| besides rounding, where o_ij is the
-    off-diagonal weight of (psi + psi^T) / 2 on edge (i, j).
+    delta * max_i sum_j |o_ij| besides rounding, where o_ij is the
+    off-diagonal weight of psi + psi^T on edge (i, j).
 
     Raises ValueError when the gradient overflows float64, as it does
-    when psi + psi^T does.
+    when psi + psi^T does, or when a partial sum of Q mu leaves the
+    float64 range.
     """
     _check_dims(graph, potentials)
     mu = check_marginals(marginals, graph.num_nodes, graph.num_labels)
     terms = _decoder_terms(potentials, shift=False)
-    q = potentials.unary + 2.0 * _quadratic_operator(graph, terms)(mu)
+    q = potentials.unary + _quadratic_operator(graph, terms)(mu)
     if not _finite(q):
         raise ValueError("gradient overflows float64; the potentials are too large")
     return q
@@ -162,30 +180,36 @@ def iterate(marginals, q):
     """One synchronous multiplicative step: reweight each row by its
     gradient entries, then renormalize.  Requires q >= 0 (negative
     entries signal a missing nonnegativity shift).  Rows whose
-    normalizer is zero are left unchanged."""
+    normalizer is zero are left unchanged.  A zero entry is absorbing:
+    no later step of this update moves it off zero."""
     mu = np.asarray(marginals, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if q.shape != mu.shape:
         raise ValueError(f"gradient shape {q.shape} does not match {mu.shape}")
     if q.min(initial=0.0) < 0.0:
         raise ValueError("gradient has negative entries; shift potentials first")
-    return _step(mu, q, np.ones(mu.shape[1]))
+    n, k = mu.shape
+    return _step(mu, q, np.ones(k), np.empty(n), np.empty((n, k)))
 
 
-def _step(mu, q, ones):
-    """`iterate` on checked arrays, into a fresh array.  Row normalizers
-    are one BLAS product with `ones` (K ones); zero rows get masked
-    handling only when some normalizer is not positive."""
-    out = mu * q
-    norms = out @ ones
+def _step(mu, q, ones, norms, out):
+    """`iterate` on checked arrays, written into `out` (which may be `q`
+    itself, but not `mu`).  Row normalizers are one BLAS product with
+    `ones` (K ones) into `norms` (N entries); zero rows get masked
+    handling only when some normalizer is not positive.  Rows are
+    divided by the normalizers repeated K times: one same-shape divide,
+    bitwise `out / norms[:, None]` without that broadcast's K-long inner
+    loop."""
+    np.multiply(mu, q, out=out)
+    np.matmul(out, ones, out=norms)
+    degenerate = None
     # A NaN or negative normalizer can hide a zero one from the minimum.
-    if not norms.min(initial=np.inf) > 0.0:
+    if not np.minimum.reduce(norms, initial=np.inf) > 0.0:
         degenerate = norms == 0.0
         norms[degenerate] = 1.0
-        out /= norms[:, None]
+    out /= norms.repeat(len(ones)).reshape(out.shape)
+    if degenerate is not None:
         out[degenerate] = mu[degenerate]
-    else:
-        out /= norms[:, None]
     return out
 
 
@@ -201,7 +225,9 @@ def _initial_marginals(unary, strategy):
     else:
         z = unary - unary.max(axis=1, keepdims=True)
         mu = np.exp(z)
-    return mu / mu.sum(axis=1, keepdims=True)
+    # the same-shape divide of `_step`
+    mu /= mu.sum(axis=1).repeat(k).reshape(n, k)
+    return mu
 
 
 def _potts_weights(blocks):
@@ -292,21 +318,24 @@ def _directed_pattern(graph):
 
 
 def _quadratic_operator(graph, terms):
-    """Pairwise operator matvec(mu) -> (N, K) with sum(mu * matvec(mu))
-    equal to the pairwise objective term and gradient contribution
-    2 * matvec(mu), built from `_decoder_terms`.
+    """Pairwise operator matvec(mu) -> Q mu, (N, K), built from
+    `_decoder_terms`: the gradient's pairwise part, so that the
+    objective's pairwise term is sum(mu * matvec(mu)) / 2 and its
+    gradient b + matvec(mu) (module docstring).  It holds psi + psi^T,
+    not halved, so its partial sums overflow once they pass the float64
+    range.
 
     Both operators are one sorted pattern, `_directed_pattern`, with
     per-edge values gathered onto its entries: a scalar per entry for
     Potts, a K x K block per entry otherwise.  On Potts graphs each
-    edge's symmetric part is o * 11^T + (d - o) * I, so the product is
+    edge's sum psi + psi^T is o * 11^T + (d - o) * I, so the product is
     W_delta @ mu plus W_o @ rowsum(mu) broadcast over labels.  Every row
     sum is taken as 1, which makes the second term a per-node constant
     formed once, and the operator one N x N adjacency with 2E non-zeros.
     The product is exact on the simplex; at rows within delta of 1 it
     differs from the polynomial's by at most delta * max_i sum_j |o_ij|.
     Any other graph is an (N*K, N*K) block-sparse (BSR) matrix with one
-    block (psi + psi^T) / 2 per entry: the sums are bitwise symmetric,
+    block psi + psi^T per entry: the sums are bitwise symmetric,
     so both directions of an edge hold the same block.  BSR's product
     sums each row block by block and within a block column by column,
     the order of scipy's COO conversion of the same entries."""
@@ -314,14 +343,13 @@ def _quadratic_operator(graph, terms):
     indptr, indices, edge_of = _directed_pattern(graph)
     if terms.potts is None:
         blocks = terms.sums[edge_of]
-        blocks *= 0.5
         quad = sp.bsr_matrix((blocks, indices, indptr), shape=(n * k, n * k))
         return lambda mu: (quad @ mu.ravel()).reshape(n, k)
 
     def adjacency(weights):
         return sp.csr_matrix((weights[edge_of], indices, indptr), shape=(n, n))
 
-    diag, off = 0.5 * terms.potts.T
+    diag, off = terms.potts.T
     w_delta = adjacency(diag - off)
     # W_o @ rowsum(mu) with every row sum taken as 1, repeated over labels
     constant = np.repeat(adjacency(off) @ np.ones(n), k).reshape(n, k)
@@ -420,18 +448,24 @@ def solve(graph, potentials, config=None, callback=None):
 
     One iteration is one operator application, one step of `iterate`'s
     arithmetic without its input checks, the trace value and a stop
-    test (`_StopTest`).  The gradient is formed in place in the
-    operator's output, and one min/max pair tests it for finiteness and
-    sign.  The stop test probes the leading `_PROBE` entries of the
-    flattened iterate while the trace value is finite; its full scan
-    tests the iterate for finiteness only when the change is not
-    finite.  A probed iterate needs no such test: with mu finite
-    and q finite and >= 0, every entry of mu * q is >= 0 and at most
-    its row's normalizer, so a quotient can exceed 1 only as inf / inf,
-    which is NaN, and a NaN in the new iterate a makes b . a NaN (b is
-    finite); a finite trace value proves the iterate finite.  Every
-    iterate is a fresh array, so a callback may keep the marginals it
-    is handed.
+    test (`_StopTest`).  The operator returns Q mu, so the trace value
+    b . mu + 1/2 mu . Q mu reuses it, and the gradient b + Q mu is
+    formed in place in the operator's output, with no rescaling pass
+    (the module docstring gives the envelope).  One min/max pair tests
+    the gradient for finiteness and sign, and the new iterate is
+    written over it: rows are summed into one buffer per solve and
+    divided by one same-shape divide.  The stop test probes the leading
+    `_PROBE` entries of the flattened iterate while the trace value is
+    finite; its full scan tests the iterate for finiteness only when
+    the change is not finite.  A probed iterate needs no such test:
+    with mu finite and q finite and >= 0, every entry of mu * q is >= 0
+    and at most its row's normalizer, so a quotient can exceed 1 only
+    as inf / inf, which is NaN, and a NaN in the new iterate a makes
+    b . a NaN (b is finite); a finite trace value proves the iterate
+    finite.  Every
+    iterate is a fresh array, the output of a fresh operator
+    application, so a callback may keep the marginals it is handed.
+    Entries that underflow to 0 stay 0 (module docstring).
 
     Returns
     -------
@@ -450,7 +484,7 @@ def solve(graph, potentials, config=None, callback=None):
     matvec = _quadratic_operator(graph, terms)
     b = terms.unary
     b_flat = b.ravel()
-    ones = np.ones(graph.num_labels)
+    ones, norms = np.ones(graph.num_labels), np.empty(graph.num_nodes)
 
     mu = _initial_marginals(b, config.init)
     change = np.empty(mu.size)
@@ -463,20 +497,22 @@ def solve(graph, potentials, config=None, callback=None):
             raise SolverFailure(f"non-finite marginals at iteration {it}")
         return delta
 
+    def objective(a, qa):
+        return float(b_flat @ a + 0.5 * (a @ qa.ravel())) - terms.offset
+
     a, qa = mu.ravel(), matvec(mu)
-    stop.trace.append(float(b_flat @ a + a @ qa.ravel()) - terms.offset)
+    stop.trace.append(objective(a, qa))
     for it in range(1, config.max_iterations + 1):
-        # gradient b + 2 * qa, formed in the matvec's own buffer
-        qa *= 2.0
+        # the gradient b + Q mu, then the new iterate, in the matvec's buffer
         qa += b
-        low = qa.min(initial=0.0)
-        if not (-np.inf < low and qa.max(initial=0.0) < np.inf):
+        low = np.minimum.reduce(qa, axis=None, initial=0.0)
+        if not (-np.inf < low and np.maximum.reduce(qa, axis=None, initial=0.0) < np.inf):
             raise SolverFailure(f"non-finite gradient at iteration {it}")
         if low < 0.0:
             raise ValueError("gradient has negative entries; shift potentials first")
-        new_mu = _step(mu, qa, ones)
+        new_mu = _step(mu, qa, ones, norms, out=qa)
         new_a, qa = new_mu.ravel(), matvec(new_mu)
-        value = float(b_flat @ new_a + new_a @ qa.ravel()) - terms.offset
+        value = objective(new_a, qa)
         settled = stop.settled(it, value, new_a, a, scan)
         mu, a = new_mu, new_a
         if callback is not None:

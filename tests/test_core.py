@@ -203,6 +203,10 @@ def test_non_integral_labels_are_rejected():
             objective_of_labeling(graph, pot, bad)
     assert check_labeling([1.0, 0.0], 2, 2).tolist() == [1, 0]
     assert check_labeling(np.array([1, 0], dtype=np.uint8), 2, 2).dtype == np.int64
+    # numpy integers inside lists are labels and edge ends; only bools are not
+    assert check_labeling([np.int64(1), 0.0], 2, 2).tolist() == [1, 0]
+    edges = CrfGraph(3, 2, [(0, np.uint8(1)), [1, 2.0], np.array([0, 2])]).edges
+    assert edges.tolist() == [[0, 1], [1, 2], [0, 2]]
 
 
 def _scene(**kwargs):
@@ -301,6 +305,23 @@ CORRUPTED = {
     "bool-labeling": (
         "labels must be integers, got True",
         lambda: check_labeling(np.array([True, False]), 2, 2),
+    ),
+    # numpy reads a bool inside a list of numbers as one of them
+    "bool-edge-end-in-list": (
+        "edges must hold integer node indices, got True",
+        lambda: CrfGraph(3, 2, [(0, True)]),
+    ),
+    "numpy-bool-edge-end-in-list": (
+        "edges must hold integer node indices, got np.False_",
+        lambda: CrfGraph(3, 2, [[1, 2], np.array([np.False_, np.True_])]),
+    ),
+    "bool-label-in-list": (
+        "labels must be integers, got True",
+        lambda: check_labeling([True, 0], 2, 2),
+    ),
+    "bool-among-float-labels": (
+        "labels must be integers, got False",
+        lambda: check_labeling((1.0, False), 2, 2),
     ),
 }
 

@@ -35,6 +35,18 @@ def test_confusion_matrix_validation():
         confusion_matrix([0, 1], [0, -1], 2)
 
 
+def test_fractional_and_bool_labels_are_rejected():
+    # truncated to [0, 1, 1], these scored a macro F1 of 1.0
+    with pytest.raises(ValueError, match="truth labels must be integers, got 0.5"):
+        compute_metrics([0.5, 1.7, 1.2], [0, 1, 1], 2)
+    with pytest.raises(ValueError, match="predicted labels must be integers, got True"):
+        compute_metrics([0, 1], [0, True], 2)
+    with pytest.raises(ValueError, match="predicted labels must be integers, got nan"):
+        confusion_matrix(np.array([0, 1]), np.array([0.0, np.nan]), 2)
+    # integral floats and numpy integers are labels
+    assert confusion_matrix([0.0, 1.0], [np.int64(1), 1], 2).tolist() == [[0, 1], [0, 1]]
+
+
 def test_perfect_prediction_scores_one():
     truth = [0, 1, 2, 1, 0, 2]
     report = compute_metrics(truth, truth, 3)

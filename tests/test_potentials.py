@@ -192,6 +192,18 @@ def test_dissimilarity_clamps_each_term():
     assert dis[0] == pytest.approx(1.0, abs=1e-15)
 
 
+def test_dissimilarity_edge_ends_must_be_integers():
+    row = ((2.0, 3.0), (0.5, 0.5, 0.5), (0.2, 0.8))
+    table = _table([row, row, row])
+    # (0.5, 1.7) was read as edge (0, 1)
+    for edges, bad in (([(0.5, 1.7)], "0.5"), (np.array([[0.0, np.inf]]), "inf"), ([(0, True)], "True")):
+        with pytest.raises(ValueError, match=f"edges must hold integer node indices, got {bad}"):
+            edge_dissimilarities(table, edges, _params())
+    want = edge_dissimilarities(table, [(0, 1), (1, 2)], _params())
+    got = edge_dissimilarities(table, np.array([[0.0, 1.0], [1.0, 2.0]]), _params())
+    assert got.tolist() == want.tolist()
+
+
 def test_dissimilarity_stays_in_unit_interval():
     rng = np.random.default_rng(23)
     params = _params(theta_c=2.0, theta_l=0.05)

@@ -205,7 +205,8 @@ def test_uniform_start_is_bitwise_the_remainder_formula():
 def _operator_error(graph, pairwise, mu):
     unshifted = Potentials(np.zeros(mu.shape), pairwise)
     got = _quadratic_operator(graph, _decoder_terms(unshifted, shift=False))(mu)
-    want = loop_pairwise_matvec(graph, pairwise, mu)
+    # Q mu: twice the edge loop's symmetric-part product
+    want = 2.0 * loop_pairwise_matvec(graph, pairwise, mu)
     assert got.shape == want.shape
     return np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
 
@@ -300,8 +301,8 @@ def test_potts_solve_follows_an_edge_loop_iteration():
 
 def test_general_operator_is_the_coo_construction():
     """The general operator's product equals, bit for bit, that of
-    scipy's COO conversion of the halved pairwise sums: the BSR layout
-    on the sorted edge pattern leaves the order of every sum unchanged."""
+    scipy's COO conversion of the pairwise sums: the BSR layout on the
+    sorted edge pattern leaves the order of every sum unchanged."""
     rng = np.random.default_rng(71)
 
     def check(graph):
@@ -319,7 +320,7 @@ def test_general_operator_is_the_coo_construction():
         else:
             sums = np.zeros((0, k, k))
         mu = random_marginals(rng, n, k)
-        want = coo_general_csr(graph, 0.5 * sums) @ mu.ravel()
+        want = coo_general_csr(graph, sums) @ mu.ravel()
         got = _quadratic_operator(graph, terms)(mu)
         assert got.shape == (n, k)
         assert got.tobytes() == want.tobytes()
@@ -550,6 +551,70 @@ def test_iterate_degenerate_and_invalid_input():
         iterate(mu, [[1.0, 1.0, 1.0]])
 
 
+_STEP_SHAPES = ((1, 2), (13, 3), (400, 5), (1600, 7), (6400, 7), (5, 1000))
+
+
+def test_step_is_bitwise_the_broadcast_divide():
+    """`iterate` and the softmax start divide rows by their normalizers
+    repeated K times; that equals `x / norms[:, None]` bit for bit, zero
+    rows (kept from the previous iterate) included."""
+    rng = np.random.default_rng(83)
+    for n, k in _STEP_SHAPES:
+        mu = random_marginals(rng, n, k)
+        q = rng.uniform(0.0, 3.0, size=(n, k))
+        q[rng.uniform(size=(n, k)) < 0.2] = 0.0
+        # every fourth row from the second is a zero row: none at n = 1
+        q[1::4] = 0.0
+        mu[rng.uniform(size=(n, k)) < 0.1] = 0.0
+        mu_in, q_in = mu.copy(), q.copy()
+        out = mu * q
+        norms = out @ np.ones(k)
+        degenerate = norms == 0.0
+        assert degenerate.any() == (n > 1)
+        norms[degenerate] = 1.0
+        want = out / norms[:, None]
+        want[degenerate] = mu[degenerate]
+        got = iterate(mu, q)
+        assert got.tobytes() == want.tobytes(), (n, k)
+        # neither argument is written: the step goes into a new array
+        assert mu.tobytes() == mu_in.tobytes() and q.tobytes() == q_in.tobytes()
+        assert got is not mu and got is not q
+        unary = rng.uniform(-5.0, 5.0, size=(n, k))
+        exp = np.exp(unary - unary.max(axis=1, keepdims=True))
+        want = exp / exp.sum(axis=1, keepdims=True)
+        assert _initial_marginals(unary, "unary_softmax").tobytes() == want.tobytes()
+
+
+def test_kept_iterates_survive_the_solve():
+    """Each iterate is written into the operator's fresh output, so a
+    callback that keeps the arrays it is handed still holds, once
+    `solve` returns, what it was handed, on Potts and general graphs,
+    constrained or not."""
+    rng = np.random.default_rng(89)
+    scene = generate_scene(20, 20, 4, 5, seed=2)
+    general = random_instance(rng, 60, 4, edge_prob=0.1)
+    sets = ConstraintSets(random_disjoint_sets(rng, 60, max_sets=5))
+    config = SolverConfig(max_iterations=12, tol=1e-300)
+    runs = (
+        (scene.graph, scene.potentials, None),
+        (*general, None),
+        (*general, sets),
+    )
+    for graph, pot, constraint_sets in runs:
+        kept = []
+
+        def keep(_, mu):
+            kept.append((mu, mu.copy()))
+
+        if constraint_sets is None:
+            solve(graph, pot, config, callback=keep)
+        else:
+            solve_constrained(graph, pot, constraint_sets, config, callback=keep)
+        assert len(kept) == 12 and len({id(mu) for mu, _ in kept}) == 12
+        for mu, copy in kept:
+            assert mu.tobytes() == copy.tobytes()
+
+
 def test_solve_single_node_reaches_the_vertex():
     graph = CrfGraph(1, 2)
     pot = Potentials([[3.0, 1.0]])
@@ -653,7 +718,7 @@ def test_stop_test_probe_matches_a_whole_iterate_scan(lead, config):
 
     def value(m):
         a = m.ravel()
-        return float(b @ a + a @ matvec(m).ravel()) - terms.offset
+        return float(b @ a + 0.5 * (a @ matvec(m).ravel())) - terms.offset
 
     prev = _initial_marginals(terms.unary, config.init)
     trace, heads, changes = [value(prev)], [], []
