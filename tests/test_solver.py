@@ -551,15 +551,12 @@ def test_iterate_degenerate_and_invalid_input():
         iterate(mu, [[1.0, 1.0, 1.0]])
 
 
-_STEP_SHAPES = ((1, 2), (13, 3), (400, 5), (1600, 7), (6400, 7), (5, 1000))
-
-
 def test_step_is_bitwise_the_broadcast_divide():
     """`iterate` and the softmax start divide rows by their normalizers
     repeated K times; that equals `x / norms[:, None]` bit for bit, zero
     rows (kept from the previous iterate) included."""
     rng = np.random.default_rng(83)
-    for n, k in _STEP_SHAPES:
+    for n, k in ((1, 2), (13, 3), (400, 5), (1600, 7), (6400, 7), (5, 1000)):
         mu = random_marginals(rng, n, k)
         q = rng.uniform(0.0, 3.0, size=(n, k))
         q[rng.uniform(size=(n, k)) < 0.2] = 0.0
