@@ -25,9 +25,6 @@ __all__ = ["brute_force_map", "lbp_map"]
 
 BRUTE_FORCE_LIMIT = 10**7
 _CHUNK = 1 << 14
-# Fewest nodes a belief slot must cover; narrower slots cost more in
-# Python overhead than a scatter of their edges does.
-_MIN_SLOT_WIDTH = 32
 
 
 def brute_force_map(graph, potentials):
@@ -74,58 +71,14 @@ def brute_force_map(graph, potentials):
     return labeling, best_val
 
 
-def _belief_sum(tgt, num_nodes):
-    """Sum incoming messages into beliefs in edge order.
-
-    Nodes are ranked by in-degree, largest first; node i sits at column
-    rank[i] of the beliefs.  Slot s holds the s-th incoming directed
-    edge of every node with in-degree > s, so its targets are ranks
-    0..w-1, one contiguous slice.  Slots narrower than _MIN_SLOT_WIDTH
-    are not formed: their edges go through one sequential scatter in
-    edge order, so a hub node costs no Python step per neighbour.
-    Either way each node adds its messages in the order a sequential
-    scatter over `tgt` would, and every directed edge is held once.
-
-    Returns
-    -------
-    (rank, add, max_degree) : (ndarray, callable, int)
-        add(beliefs, messages) adds (K, D) messages into C-contiguous
-        (K, N) rank-ordered beliefs in place, with K fixed by its first
-        call; max_degree is the largest in-degree.
-    """
-    counts = np.bincount(tgt, minlength=num_nodes)
-    ranked = np.argsort(-counts, kind="stable")
-    rank = np.empty_like(ranked)
-    rank[ranked] = np.arange(num_nodes)
-    by_target = np.argsort(tgt, kind="stable")
-    first = np.cumsum(counts) - counts
-    position = np.empty_like(by_target)
-    position[by_target] = np.arange(tgt.size) - first[tgt[by_target]]
-
-    widths = np.searchsorted(-counts[ranked], -np.arange(counts.max()), side="left")
-    widths = widths[widths >= _MIN_SLOT_WIDTH]
-    first = first[ranked]
-    slots = [by_target[first[:w] + s] for s, w in enumerate(widths)]
-    tail = np.nonzero(position >= widths.size)[0]
-    tail_rank = rank[tgt[tail]]
-
-    tail_index = None
-
-    def add(beliefs, messages):
-        nonlocal tail_index
-        for edges in slots:
-            beliefs[:, : edges.size] += np.take(messages, edges, axis=1)
-        if tail.size:
-            # element q * N + rank of the flat beliefs, label-major like
-            # the (K, tail) messages: numpy's 1-D fast path adds in index
-            # order, as a scatter over the rows of beliefs.T does
-            if tail_index is None:
-                labels = np.arange(0, beliefs.size, num_nodes)
-                tail_index = (labels[:, None] + tail_rank).ravel()
-            tail_messages = np.take(messages, tail, axis=1).ravel()
-            np.add.at(beliefs.reshape(-1), tail_index, tail_messages)
-
-    return rank, add, int(counts.max())
+def _add_messages(beliefs, messages, tgt):
+    """Add (K, D) messages into (K, N) beliefs in place, one sequential
+    scatter over `tgt` per label row.  numpy's 1-D `ufunc.at` fast path
+    applies the updates in index order, so every node adds its messages
+    in edge order, as one scatter over the rows of beliefs.T does, and
+    no index beyond `tgt` is held."""
+    for row, incoming in zip(beliefs, messages):
+        np.add.at(row, tgt, incoming)
 
 
 def _potts_messages(same, differ):
@@ -302,13 +255,9 @@ def lbp_map(graph, potentials, max_iters=200, damping=0.5):
     # reduction over labels runs along the leading axis.  Gathers use
     # np.take, which keeps that layout (fancy indexing on axis 1 returns
     # a Fortran-ordered array); mode "clip" lets it write straight into
-    # its output, which mode "raise" would buffer.  Belief columns are
-    # in in-degree rank order (see _belief_sum); labelings are mapped
-    # back on decoding.
-    rank, add_messages, max_degree = _belief_sum(tgt, n)
-    src_col = rank[src]
-    unary = np.empty((k, n))
-    unary[:, rank] = terms.unary.T
+    # its output, which mode "raise" would buffer.
+    max_degree = int(np.bincount(tgt).max())
+    unary = np.ascontiguousarray(terms.unary.T)
     messages = np.zeros((k, 2 * num_e))
     base = np.empty_like(messages)
     halve = damping == 0.5 and _halving_is_exact(terms, max_degree, max_iters)
@@ -324,7 +273,7 @@ def lbp_map(graph, potentials, max_iters=200, damping=0.5):
 
     def beliefs_now():
         np.copyto(beliefs, unary)
-        add_messages(beliefs, messages)
+        _add_messages(beliefs, messages, tgt)
         return beliefs
 
     last = (None, None)
@@ -336,7 +285,7 @@ def lbp_map(graph, potentials, max_iters=200, damping=0.5):
         np.max(beliefs, axis=0, out=top)
         for q in range(k - 1, -1, -1):
             np.copyto(label, q, where=np.equal(beliefs[q], top, out=hit))
-        labeling = label[rank]
+        labeling = label.copy()
         if last[0] is None or not np.array_equal(labeling, last[0]):
             last = labeling, objective_of_labeling(graph, potentials, labeling)
         return last
@@ -351,7 +300,7 @@ def lbp_map(graph, potentials, max_iters=200, damping=0.5):
     best_labeling = None
     best_value = -np.inf
     for it in range(1, max_iters + 1):
-        np.take(beliefs_now(), src_col, axis=1, out=base, mode="clip")
+        np.take(beliefs_now(), src, axis=1, out=base, mode="clip")
         base[:, :num_e] -= messages[:, num_e:]
         base[:, num_e:] -= messages[:, :num_e]
         new = message(base)

@@ -475,7 +475,10 @@ def solve(graph, potentials, config=None, callback=None):
     Raises
     ------
     SolverFailure
-        If the iterate or gradient turns non-finite.
+        If the iterate or gradient turns non-finite, or the objective of
+        the returned iterate is not finite (as on the last iteration,
+        whose gradient is never formed, or a run that converges on an
+        infinite objective).
     """
     if config is None:
         config = SolverConfig()
@@ -519,6 +522,9 @@ def solve(graph, potentials, config=None, callback=None):
             callback(it, mu)
         if settled:
             break
+    # the loop tests gradients, not objectives: the last one is unchecked
+    if not np.isfinite(stop.trace[-1]):
+        raise SolverFailure(f"non-finite objective at iteration {stop.iterations}")
     return mu, stop.report()
 
 

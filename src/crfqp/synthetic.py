@@ -30,7 +30,6 @@ HIST_BINS = 8
 # Blob geometry: a 3x3 lattice of points per cell keeps same-object
 # points well under the default 0.5 m clustering radius, while the one
 # cell gap enforced between objects keeps distinct blobs apart.
-_POINTS_PER_CELL = 9
 _MIN_BLOB_POINTS = 160
 _XY_JITTER = 0.05
 _Z_JITTER = 0.05

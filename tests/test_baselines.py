@@ -18,7 +18,7 @@ from crfqp import (
 from crfqp.baselines import (
     _PROBE_COLUMNS,
     BRUTE_FORCE_LIMIT,
-    _belief_sum,
+    _add_messages,
     _halving_is_exact,
 )
 from crfqp.solver import _decoder_terms
@@ -372,7 +372,7 @@ def test_belief_sums_match_sequential_scatter():
         n, d = int(rng.integers(1, 12)), int(rng.integers(1, 80))
         cases.append((n, rng.integers(0, n, size=d)))
     for _ in range(5):
-        # wide enough for contiguous slots, with a hub that is not node 0
+        # many messages per node, with a hub that is not node 0
         n = int(rng.integers(40, 120))
         tgt = np.concatenate([rng.integers(0, n, size=6 * n), np.full(90, n // 2)])
         cases.append((n, rng.permutation(tgt)))
@@ -383,12 +383,33 @@ def test_belief_sums_match_sequential_scatter():
         base = rng.uniform(0.5, 1.0, size=(n, k))
         want = base.copy()
         np.add.at(want, tgt, messages.T)
-        rank, add, max_degree = _belief_sum(tgt, n)
-        assert max_degree == np.bincount(tgt).max()
-        got = np.empty((k, n))
-        got[:, rank] = base.T
-        add(got, messages)
-        assert np.array_equal(got[:, rank].T, want)
+        got = np.ascontiguousarray(base.T)
+        _add_messages(got, messages, tgt)
+        assert np.array_equal(got.T, want)
+
+
+def test_lbp_matches_dense_reference_with_spread_in_degrees():
+    # 300 nodes, 40 of them isolated, edges in shuffled order; degrees
+    # run from 0 past 15, so nodes take their messages in many counts
+    rng = np.random.default_rng(127)
+    n, k = 300, 4
+    pairs = set()
+    for i in range(40, n):
+        for j in rng.choice(np.arange(40, n), size=int(rng.integers(0, 9)), replace=False):
+            if i != j:
+                pairs.add((min(i, int(j)), max(i, int(j))))
+    edges = rng.permutation(sorted(pairs))
+    graph = CrfGraph(n, k, edges)
+    degrees = np.bincount(graph.edges.ravel(), minlength=n)
+    assert degrees[:40].max() == 0 and degrees.max() >= 15
+    assert len(set(degrees.tolist())) >= 15
+    unary = rng.uniform(-1.0, 1.0, size=(n, k))
+    diag, off = rng.uniform(-1.0, 1.0, size=(2, graph.num_edges, 1, 1))
+    potts = Potentials(unary, np.where(np.eye(k, dtype=bool), diag, off))
+    dense = Potentials(unary, rng.uniform(-1.0, 1.0, size=(graph.num_edges, k, k)))
+    for pot, is_potts in ((potts, True), (dense, False)):
+        assert _is_potts(pot) == is_potts
+        _assert_same_run(graph, pot, max_iters=60)
 
 
 def test_lbp_on_a_star_is_exact_and_linear_in_memory():

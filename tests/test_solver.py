@@ -789,6 +789,22 @@ def test_non_finite_iterate_raises_non_finite_marginals():
         assert str(failure.value) == "non-finite marginals at iteration 4"
 
 
+def test_infinite_objective_raises_solver_failure():
+    # a star whose three edges each score 4e307 on (0, 0): the first
+    # step's gradient is finite, its objective is not
+    graph = CrfGraph(4, 2, [(0, 1), (0, 2), (0, 3)])
+    pairwise = np.zeros((3, 2, 2))
+    pairwise[:, 0, 0] = 4e307
+    unary = np.zeros((4, 2))
+    unary[1:] = 1.0
+    pot = Potentials(unary, pairwise)
+    for cap, failure in ((1, "non-finite objective at iteration 1"),
+                         (2, "non-finite gradient at iteration 2")):
+        with pytest.raises(SolverFailure) as raised:
+            solve(graph, pot, SolverConfig(max_iterations=cap))
+        assert str(raised.value) == failure
+
+
 def test_constrained_solve_with_no_sets_matches_unconstrained():
     rng = np.random.default_rng(47)
     graph, pot = random_instance(rng, 7, 3, edge_prob=0.5)
