@@ -179,13 +179,13 @@ def lbp_map(graph, potentials, max_iters=200, damping=0.5):
     messages.  The best labeling seen (by objective value) is returned,
     so non-convergence still yields a usable answer.
 
-    When every edge's psi + psi^T is Potts (all diagonal entries
-    bitwise equal, all off-diagonal entries bitwise equal, edge by
-    edge), messages cost O(K) instead of O(K^2); labelings, traces and
+    When every edge's raw block is Potts (all diagonal entries bitwise
+    equal, all off-diagonal entries bitwise equal, edge by edge), as in
+    `solve`, messages cost O(K) instead of O(K^2); labelings, traces and
     iteration counts are bitwise those of the dense update, which every
-    other graph uses.  Potts is decided from the raw blocks as in
-    `solve`, and the floor shift and psi + psi^T act on the per-edge
-    (diagonal, off-diagonal) weights, so no K x K block is copied.
+    other graph uses.  The floor shift and psi + psi^T then act on the
+    per-edge (diagonal, off-diagonal) weights, so no K x K block is
+    copied.
 
     Each iteration gathers beliefs at the message sources once, takes
     the reverse messages as the two swapped halves of the message array

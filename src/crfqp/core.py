@@ -40,15 +40,18 @@ def _check_positive(name, value):
 
 def _as_integers(values, message):
     """`values` as a new C-ordered int64 array; ValueError(message), formatted
-    with the first bool, string, fraction, NaN or infinity, if it holds one."""
+    with the first bool, string, fraction, NaN or infinity, if it holds one
+    (in a list or tuple, the first bool or non-number)."""
     x = np.asarray(values)
     if isinstance(values, (list, tuple)):
-        # numpy casts a bool among numbers with them: look for one first
+        # numpy would cast a bool, string or None with the rest: find it first
         flat = values
         for _ in range(x.ndim - 1):
             flat = list(chain.from_iterable(flat))
-        if not _BOOLS.isdisjoint(map(type, flat)):
-            raise ValueError(message.format(next(v for v in flat if type(v) in _BOOLS)))
+        kinds = set(map(type, flat))
+        odd = {t for t in kinds if t in _BOOLS or not issubclass(t, numbers.Real)}
+        if odd:
+            raise ValueError(message.format(next(v for v in flat if type(v) in odd)))
     if x.dtype.kind == "i":
         return x.astype(np.int64, order="C")
     numeric = x.dtype.kind in "uf"

@@ -13,7 +13,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import CrfGraph, Potentials
+from .core import CrfGraph, Potentials, _check_count
 from .potentials import NodeFeatures, pairwise_potential
 from .reduction import ConstraintSets
 
@@ -90,10 +90,8 @@ def problem_from_dict(doc):
         _fail("version", f"unsupported version {version}, expected {SCHEMA_VERSION}")
     num_labels = _require(doc, "num_labels", int)
     num_nodes = _require(doc, "num_nodes", int)
-    if num_labels < 2:
-        _fail("num_labels", "must be at least 2")
-    if num_nodes < 1:
-        _fail("num_nodes", "must be at least 1")
+    num_labels = _check_count("problem file field 'num_labels'", num_labels, 2, "labels")
+    num_nodes = _check_count("problem file field 'num_nodes'", num_nodes, 1, "node")
 
     unary = _as_float_array(
         _require(doc, "unary", list), "unary", (num_nodes, num_labels)

@@ -16,7 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .core import CrfGraph, Potentials, _as_integers, _check_dims, check_marginals
+from .core import (
+    CrfGraph,
+    Potentials,
+    _as_integers,
+    _check_count,
+    _check_dims,
+    check_marginals,
+)
 
 __all__ = [
     "ConstraintSets",
@@ -36,11 +43,8 @@ class ConstraintSets:
     def __init__(self, sets=()):
         normalized = []
         seen = set()
-        # numpy would cast a bool or str member with the rest: it goes alone
-        alone = (bool, np.bool_, str)
         for s in map(list, sets):
-            odd = [i for i in s if type(i) in alone]
-            nodes = _as_integers(odd[:1] or s, "constraint set node {!r} is not an integer")
+            nodes = _as_integers(s, "constraint set node {!r} is not an integer")
             members = tuple(sorted(nodes.tolist()))
             if len(members) < 2:
                 raise ValueError(f"constraint set {members} has fewer than 2 nodes")
@@ -130,12 +134,17 @@ def build_null_space_operator(graph, constraint_sets):
 
 
 def expansion_operator(node_to_super, num_labels):
-    """Sparse Z of shape (N*K, M*K): copies supernode-label variables
-    onto their member nodes."""
-    node_to_super = np.asarray(node_to_super, dtype=np.int64)
+    """Sparse Z of shape (N*K, M*K), M = max(node_to_super) + 1: copies
+    supernode-label variables onto their member nodes.  `node_to_super`
+    must be 1-D non-negative integers and `num_labels` at least 2."""
+    node_to_super = _as_integers(node_to_super, "supernode indices must be integers, got {!r}")
+    k = _check_count("num_labels", num_labels, 2, "labels")
+    if node_to_super.ndim != 1:
+        raise ValueError(f"node_to_super must be 1-D, got shape {node_to_super.shape}")
+    if node_to_super.min(initial=0) < 0:
+        raise ValueError(f"supernode index {node_to_super.min()} is negative")
     n = node_to_super.shape[0]
     m = int(node_to_super.max()) + 1 if n else 0
-    k = num_labels
     rows = np.arange(n * k)
     cols = (node_to_super[:, None] * k + np.arange(k)[None, :]).ravel()
     data = np.ones(n * k)

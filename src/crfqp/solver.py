@@ -57,10 +57,6 @@ __all__ = [
 # Value the floor shift moves the minimum unary and pairwise entries to.
 FLOOR = 1e-9
 
-# Blocks whose bits one pass of the Potts check compares: bounds its
-# temporary to _CHECK_BLOCKS * K^2 bytes.
-_CHECK_BLOCKS = 4096
-
 # Leading entries of the flattened iterate whose change `solve` reads
 # before it scans the whole iterate (see `_StopTest`).
 _PROBE = 256
@@ -234,25 +230,22 @@ def _potts_weights(blocks):
     """Per-edge (diagonal, off-diagonal) values of `blocks` (E, K, K),
     as an (E, 2) array, when on every edge all diagonal entries are
     bitwise equal and all off-diagonal entries are bitwise equal; None
-    as soon as one edge breaks the pattern.
+    when some edge breaks the pattern.
 
     In a flattened block, entries K + 1 apart are both diagonal or both
     off-diagonal, and entries 1..K are off-diagonal, one from each of
     the K off-diagonal residue classes mod K + 1.  So a block is Potts
     exactly when it repeats with period K + 1 and its entries 1..K
-    agree.  The period is checked on the raw bits in contiguous passes
-    of `_CHECK_BLOCKS` blocks, so no (E, K, K) temporary is made."""
+    agree.  The period is checked on the raw bits of all blocks in one
+    comparison, whose bool temporary is one byte per block entry."""
     e, k = blocks.shape[:2]
     size, period = k * k, k + 1
     flat = np.ascontiguousarray(blocks).view(np.uint64).reshape(-1)
-    repeats = np.empty(min(e, _CHECK_BLOCKS) * size, dtype=bool)
-    for start in range(0, flat.size, _CHECK_BLOCKS * size):
-        chunk = flat[start : start + _CHECK_BLOCKS * size]
-        same = repeats[: chunk.size]
-        np.equal(chunk[:-period], chunk[period:], out=same[:-period])
-        # the last K + 1 comparisons of a block reach into the next one
-        if not same.reshape(-1, size)[:, : size - period].all():
-            return None
+    same = np.empty(flat.size, dtype=bool)
+    np.equal(flat[:-period], flat[period:], out=same[:-period])
+    # the last K + 1 comparisons of a block reach into the next one
+    if not same.reshape(e, size)[:, : size - period].all():
+        return None
     bits = flat.reshape(e, size)
     if not all((bits[:, j] == bits[:, 1]).all() for j in range(2, period)):
         return None
@@ -263,7 +256,7 @@ class _DecoderTerms(NamedTuple):
     """What a decoder needs of potentials: the (shifted) unary, the
     amount the shift adds to the objective, and the pairwise sums
     psi + psi^T of every edge, either as (E, 2) Potts (diagonal,
-    off-diagonal) weights or, when some edge is not Potts, as full
+    off-diagonal) weights or, when some raw block is not Potts, as full
     (E, K, K) blocks.  IEEE addition is commutative, so each block of
     `sums` equals its own transpose bit for bit (signed zeros and
     overflows to inf included), and both directions of an edge use the
@@ -277,16 +270,14 @@ class _DecoderTerms(NamedTuple):
 
 def _decoder_terms(potentials, shift=True):
     """Floor-shift `potentials` (unless `shift` is false) and split
-    off the pairwise sums psi + psi^T, deciding Potts first from the raw
+    off the pairwise sums psi + psi^T, deciding Potts once, from the raw
     blocks.
 
     A Potts graph (every raw block bitwise Potts) is read once, for the
     check, and then handled as (E, 2) weights: a Potts block holds only
     its two weights, so `shift_to_floor` on the weights shifts every
     entry of the blocks alike, and psi + psi^T is w + w.  Any other
-    graph is shifted as blocks and forms the sums in full; it still
-    takes the Potts path when the sums are bitwise Potts, as an
-    asymmetric pair with a Potts symmetric part is."""
+    graph is shifted as blocks and forms the sums in full."""
     unary, pairwise, offset = potentials.unary, potentials.pairwise, 0.0
     weights = _potts_weights(pairwise)
     if weights is not None:
@@ -295,11 +286,7 @@ def _decoder_terms(potentials, shift=True):
         unary, pairwise, offset = shift_to_floor(unary, pairwise)
     if weights is not None:
         return _DecoderTerms(unary, offset, pairwise + pairwise, None)
-    sums = pairwise + pairwise.transpose(0, 2, 1)
-    potts = _potts_weights(sums)
-    if potts is not None:
-        sums = None
-    return _DecoderTerms(unary, offset, potts, sums)
+    return _DecoderTerms(unary, offset, None, pairwise + pairwise.transpose(0, 2, 1))
 
 
 def _directed_pattern(graph):
@@ -432,7 +419,7 @@ def solve(graph, potentials, config=None, callback=None):
     callback : callable, optional
         Called as callback(iteration, marginals) after every update.
 
-    When every edge's block is Potts (all diagonal entries bitwise
+    When every edge's raw block is Potts (all diagonal entries bitwise
     equal, all off-diagonal entries bitwise equal, edge by edge), the
     pairwise term runs on one N x N adjacency with 2E non-zeros and a
     per-node constant instead of a K x K block per edge; traces agree
@@ -442,9 +429,7 @@ def solve(graph, potentials, config=None, callback=None):
     rows stay within a few ulp of 1 and so does the product.  Potts is
     decided from the raw blocks, which are read once: the floor shift
     then acts on the per-edge (diagonal, off-diagonal) weights, and no
-    K x K block is copied.  A graph whose raw blocks are not all Potts
-    but whose symmetric parts are still takes the Potts operator; any
-    other graph takes the general one.
+    K x K block is copied.  Any other graph takes the general operator.
 
     One iteration is one operator application, one step of `iterate`'s
     arithmetic without its input checks, the trace value and a stop

@@ -21,7 +21,7 @@ from crfqp.baselines import (
     _add_messages,
     _halving_is_exact,
 )
-from crfqp.solver import _decoder_terms
+from crfqp.solver import FLOOR, _decoder_terms
 from helpers import (
     dense_lbp,
     enumerate_map,
@@ -410,6 +410,30 @@ def test_lbp_matches_dense_reference_with_spread_in_degrees():
     for pot, is_potts in ((potts, True), (dense, False)):
         assert _is_potts(pot) == is_potts
         _assert_same_run(graph, pot, max_iters=60)
+
+
+def test_lbp_sums_each_belief_in_edge_order():
+    # Hub 0 with leaves 1-3, K = 2, one iteration; edge (4, 5) holds the
+    # pairwise minimum and the leaves the unary one, both on the floor,
+    # so no shift rounds.  Each leaf prefers label 1 and sends the hub
+    # an exact message (-a, 0), with a = d - o of its Potts weights:
+    # 1/2, then 2^-53 twice.  In edge order the hub's label-0 belief is
+    # ((1 + 2^-52) - 1/2) - 2^-53 - 2^-53 = 1/2, tied with label 1, so
+    # the hub decodes to 0.  Summed in reverse, 1 + 2^-52 - 2^-53 rounds
+    # to 1 and the belief ends 1 ulp lower, at 1/2 - 2^-53: label 1,
+    # whose objective is higher by about 1/2.
+    graph = CrfGraph(6, 2, [(0, 1), (0, 2), (0, 3), (4, 5)])
+    tiny = 2.0**-53
+    unary = [[1.0 + 2 * tiny, 0.5], [FLOOR, 2.0], [FLOOR, 1.0], [FLOOR, 1.0]]
+    unary += [[FLOOR, FLOOR]] * 2
+    eye = np.eye(2, dtype=bool)
+    blocks = [np.where(eye, d, 0.25) for d in (0.75, 0.25 + tiny, 0.25 + tiny)]
+    for last, is_potts in ((np.full((2, 2), FLOOR), True), ([[FLOOR, 2 * FLOOR]] * 2, False)):
+        pot = Potentials(unary, blocks + [last])
+        assert _is_potts(pot) == is_potts
+        labeling, _ = lbp_map(graph, pot, max_iters=1)
+        assert labeling[:4].tolist() == [0, 1, 1, 1]
+        _assert_same_run(graph, pot, max_iters=1)
 
 
 def test_lbp_on_a_star_is_exact_and_linear_in_memory():

@@ -14,6 +14,7 @@ from crfqp import (
     NodeProjection,
     Potentials,
     SolverConfig,
+    expansion_operator,
     extract_labeling,
     generate_scene,
     lbp_map,
@@ -237,6 +238,7 @@ BOUNDARIES = [
     ("generate_scene", "count", "num_objects", lambda v, _: _scene(num_objects=v)),
     ("generate_scene", "count", "num_labels", lambda v, _: _scene(num_labels=v)),
     ("eval", "count", "--labels", lambda v, tmp: _eval_labels(tmp, v)),
+    ("expansion_operator", "count", "num_labels", lambda v, _: expansion_operator([0, 1], v)),
     ("SolverConfig", "positive", "tol", lambda v, _: SolverConfig(tol=v)),
     (
         "CloudParams",
@@ -255,6 +257,7 @@ BOUNDARIES = [
     ("check_labeling", "array", "labels", lambda a, _: check_labeling(a, 2, 2)),
     ("NodeProjection", "array", "node indices", lambda a, _: NodeProjection(a)),
     ("ConstraintSets", "array", "constraint set node", lambda a, _: ConstraintSets([list(a)])),
+    ("expansion_operator", "array", "supernode indices", lambda a, _: expansion_operator(a, 2)),
 ]
 
 # Python and numpy forms of the same value, a string, and non-finite floats
@@ -322,6 +325,24 @@ CORRUPTED = {
     "bool-among-float-labels": (
         "labels must be integers, got False",
         lambda: check_labeling((1.0, False), 2, 2),
+    ),
+    # numpy casts a number among strings or None with them: the message
+    # names the string or None, not the number
+    "string-edge-end-in-list": (
+        "edges must hold integer node indices, got '1'",
+        lambda: CrfGraph(3, 2, [(0, "1")]),
+    ),
+    "none-edge-end-in-list": (
+        "edges must hold integer node indices, got None",
+        lambda: CrfGraph(3, 2, [(0, None)]),
+    ),
+    "none-label-in-list": (
+        "labels must be integers, got None",
+        lambda: check_labeling([0, None, 1], 3, 2),
+    ),
+    "none-node": (
+        "constraint set node None is not an integer",
+        lambda: ConstraintSets([[0, None]]),
     ),
 }
 

@@ -129,6 +129,24 @@ def test_replication_operator_annihilates_constraints():
         assert product.max(initial=0.0) == 0.0
 
 
+def test_expansion_operator_rejects_what_it_would_misread():
+    # truncation would map [0.5, 1.7, 1.2] to [0, 1, 1], numpy would read
+    # the bools as 0 and 1, and -1 failed inside scipy
+    # (tests/test_core.py applies the integer-array and count rules)
+    cases = (
+        ([0.5, 1.7, 1.2], "supernode indices must be integers, got 0.5"),
+        ([True, False], "supernode indices must be integers, got True"),
+        ([-1, 0], "supernode index -1 is negative"),
+        ([[0, 1]], r"node_to_super must be 1-D, got shape \(1, 2\)"),
+    )
+    for mapping, message in cases:
+        with pytest.raises(ValueError, match=message):
+            expansion_operator(mapping, 2)
+    z_mat = expansion_operator([0.0, 1.0, 1.0], 2).toarray()
+    assert z_mat.tolist() == np.kron([[1, 0], [0, 1], [0, 1]], np.eye(2)).tolist()
+    assert expansion_operator([], 2).shape == (0, 0)
+
+
 def test_merged_unary_rows_are_summed():
     graph = CrfGraph(2, 2)
     pot = Potentials([[1.0, 2.0], [3.0, 4.0]])

@@ -436,7 +436,7 @@ def test_potts_is_decided_from_the_raw_blocks():
                 assert terms.potts is None and terms.sums.shape == (2, k, k)
 
 
-def test_asymmetric_blocks_with_a_potts_symmetric_part_take_the_potts_path():
+def test_asymmetric_blocks_with_a_potts_symmetric_part_take_the_general_path():
     rng = np.random.default_rng(61)
     graph, pot = random_potts_instance(rng, 10, 3, edge_prob=0.5)
     # off-diagonals 0.25 +- 0.125 across the diagonal: no raw block is
@@ -446,10 +446,12 @@ def test_asymmetric_blocks_with_a_potts_symmetric_part_take_the_potts_path():
     block = np.where(np.eye(3, dtype=bool), 1e-9, 0.25) + skew - skew.T
     pot = Potentials(pot.unary, np.broadcast_to(block, (graph.num_edges, 3, 3)))
     assert _potts_weights(pot.pairwise) is None
+    potts_sums = np.where(np.eye(3, dtype=bool), 2e-9, 0.5)
     for shift in (True, False):
         terms = _decoder_terms(pot, shift)
-        assert terms.sums is None
-        assert terms.potts.tolist() == [[2e-9, 0.5]] * graph.num_edges
+        assert terms.potts is None
+        assert terms.sums.shape == (graph.num_edges, 3, 3)
+        assert (terms.sums.view(np.uint64) == potts_sums.view(np.uint64)).all()
     mu = random_marginals(rng, 10, 3)
     assert _operator_error(graph, pot.pairwise, mu) < 1e-12
     want = pot.unary + 2.0 * loop_pairwise_matvec(graph, pot.pairwise, mu)
