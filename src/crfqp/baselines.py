@@ -48,6 +48,7 @@ def brute_force_map(graph, potentials):
         )
     ea = graph.edges
     eidx = np.arange(graph.num_edges)
+    psi = potentials.pairwise
     powers = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
     best_val = -np.inf
@@ -59,7 +60,6 @@ def brute_force_map(graph, potentials):
         if graph.num_edges:
             xi = labels[:, ea[:, 0]]
             xj = labels[:, ea[:, 1]]
-            psi = potentials.pairwise
             vals = vals + psi[eidx[None, :], xi, xj].sum(axis=1)
             vals = vals + psi[eidx[None, :], xj, xi].sum(axis=1)
         pos = int(np.argmax(vals))
@@ -179,13 +179,12 @@ def lbp_map(graph, potentials, max_iters=200, damping=0.5):
     messages.  The best labeling seen (by objective value) is returned,
     so non-convergence still yields a usable answer.
 
-    When every edge's raw block is Potts (all diagonal entries bitwise
-    equal, all off-diagonal entries bitwise equal, edge by edge), as in
-    `solve`, messages cost O(K) instead of O(K^2); labelings, traces and
-    iteration counts are bitwise those of the dense update, which every
-    other graph uses.  The floor shift and psi + psi^T then act on the
-    per-edge (diagonal, off-diagonal) weights, so no K x K block is
-    copied.
+    On Potts graphs, as in `solve` (stored Potts weights, or blocks that
+    are all bitwise Potts), messages cost O(K) instead of O(K^2);
+    labelings, traces and iteration counts are bitwise those of the
+    dense update, which every other graph uses.  The floor shift and
+    psi + psi^T then act on the per-edge (diagonal, off-diagonal)
+    weights, so no K x K block is copied.
 
     Each iteration gathers beliefs at the message sources once, takes
     the reverse messages as the two swapped halves of the message array

@@ -38,20 +38,28 @@ def _check_positive(name, value):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _real_entries(values, ndim, message):
+    """The scalars of the nested list or tuple `values`, `ndim` levels
+    deep; ValueError(message), formatted with the first bool or
+    non-number, if it holds one.  Each distinct entry type is checked
+    once: numpy would cast a bool, string or None with the rest."""
+    flat = values
+    for _ in range(ndim - 1):
+        flat = list(chain.from_iterable(flat))
+    kinds = set(map(type, flat))
+    odd = {t for t in kinds if t in _BOOLS or not issubclass(t, numbers.Real)}
+    if odd:
+        raise ValueError(message.format(next(v for v in flat if type(v) in odd)))
+    return flat
+
+
 def _as_integers(values, message):
     """`values` as a new C-ordered int64 array; ValueError(message), formatted
     with the first bool, string, fraction, NaN or infinity, if it holds one
     (in a list or tuple, the first bool or non-number)."""
     x = np.asarray(values)
     if isinstance(values, (list, tuple)):
-        # numpy would cast a bool, string or None with the rest: find it first
-        flat = values
-        for _ in range(x.ndim - 1):
-            flat = list(chain.from_iterable(flat))
-        kinds = set(map(type, flat))
-        odd = {t for t in kinds if t in _BOOLS or not issubclass(t, numbers.Real)}
-        if odd:
-            raise ValueError(message.format(next(v for v in flat if type(v) in odd)))
+        _real_entries(values, x.ndim, message)
     if x.dtype.kind == "i":
         return x.astype(np.int64, order="C")
     numeric = x.dtype.kind in "uf"
@@ -62,6 +70,32 @@ def _as_integers(values, message):
     if bad.size:
         raise ValueError(message.format(x.item(bad[0])))
     return cast
+
+
+def _as_floats(values, message):
+    """`values` as a float64 array, with no copy when it already is one;
+    ValueError(message), formatted with the first bool, string, None or
+    other non-number in a list or tuple, the first entry of a non-empty
+    array that is not of integers or floats, or the first integer too
+    large for a float64.  Arrays of numbers pass with no scan."""
+    x = np.asarray(values)
+    flat = None
+    if isinstance(values, (list, tuple)):
+        flat = _real_entries(values, x.ndim, message)
+    if x.dtype.kind in "iuf" or x.size == 0:
+        return x.astype(np.float64, copy=False)
+    if flat is None:
+        raise ValueError(message.format(x.item(0)))
+    # real Python numbers that numpy kept as objects, such as large integers
+    try:
+        return x.astype(np.float64)
+    except OverflowError:
+        for v in flat:
+            try:
+                float(v)
+            except OverflowError:
+                raise ValueError(message.format(v)) from None
+        raise
 
 
 @dataclass(frozen=True)
@@ -113,31 +147,66 @@ class CrfGraph:
         return len(self.edges)
 
 
+def _potts_blocks(weights, num_labels):
+    """Potts blocks from (..., 2) (diagonal, off-diagonal) `weights`: a
+    new (..., K, K) array holding each weight's bits."""
+    eye = np.eye(num_labels, dtype=bool)
+    return np.where(eye, weights[..., :1, None], weights[..., 1:, None])
+
+
 @dataclass(frozen=True)
 class Potentials:
-    """Unary scores (num_nodes, num_labels) and per-edge pairwise
-    matrices (num_edges, num_labels, num_labels), aligned with
-    ``graph.edges``.  All entries must be finite."""
+    """Unary scores (num_nodes, num_labels) and one pairwise term per
+    edge, aligned with ``graph.edges``, in one of two forms:
+
+    - ``pairwise``: matrices (num_edges, num_labels, num_labels);
+    - ``potts``: (num_edges, 2) Potts weights, each edge's diagonal and
+      off-diagonal value, for the matrices that hold the first on the
+      diagonal and the second off it.
+
+    Pass at most one; with neither there are no edges.  ``potts`` is the
+    weights, or None for matrix input.  ``pairwise`` is always the
+    matrices: the stored array, or for Potts input a new array built on
+    each access, so a Potts graph stores O(E) values.  Entries must be
+    finite numbers; bools, strings and None are rejected."""
 
     unary: np.ndarray
-    pairwise: np.ndarray
+    potts: np.ndarray | None
+    _blocks: np.ndarray | None
 
-    def __init__(self, unary, pairwise=None):
-        unary = np.asarray(unary, dtype=np.float64)
+    def __init__(self, unary, pairwise=None, *, potts=None):
+        unary = _as_floats(unary, "unary must hold numbers, got {!r}")
         if unary.ndim != 2:
             raise ValueError(f"unary must be 2-D, got shape {unary.shape}")
         k = unary.shape[1]
-        if pairwise is None:
-            pairwise = np.zeros((0, k, k))
-        pairwise = np.asarray(pairwise, dtype=np.float64)
-        if pairwise.ndim != 3 or pairwise.shape[1:] != (k, k):
-            raise ValueError(
-                f"pairwise must have shape (E, {k}, {k}), got {pairwise.shape}"
-            )
-        if not np.all(np.isfinite(unary)) or not np.all(np.isfinite(pairwise)):
+        if potts is not None:
+            if pairwise is not None:
+                raise ValueError("pass pairwise matrices or potts weights, not both")
+            potts = _as_floats(potts, "potts must hold numbers, got {!r}")
+            if potts.ndim != 2 or potts.shape[1] != 2:
+                raise ValueError(f"potts must have shape (E, 2), got {potts.shape}")
+            values = potts
+        else:
+            if pairwise is None:
+                pairwise = np.zeros((0, k, k))
+            pairwise = _as_floats(pairwise, "pairwise must hold numbers, got {!r}")
+            if pairwise.ndim != 3 or pairwise.shape[1:] != (k, k):
+                raise ValueError(
+                    f"pairwise must have shape (E, {k}, {k}), got {pairwise.shape}"
+                )
+            values = pairwise
+        if not np.all(np.isfinite(unary)) or not np.all(np.isfinite(values)):
             raise ValueError("potentials must be finite")
         object.__setattr__(self, "unary", unary)
-        object.__setattr__(self, "pairwise", pairwise)
+        object.__setattr__(self, "potts", potts)
+        object.__setattr__(self, "_blocks", pairwise)
+
+    @property
+    def pairwise(self):
+        """The (E, K, K) matrices; for Potts input, a new array."""
+        if self.potts is None:
+            return self._blocks
+        return _potts_blocks(self.potts, self.unary.shape[1])
 
 
 def _check_dims(graph, potentials):
@@ -146,11 +215,9 @@ def _check_dims(graph, potentials):
         raise ValueError(
             f"unary shape {potentials.unary.shape} does not match graph ({n}, {k})"
         )
-    if potentials.pairwise.shape[0] != graph.num_edges:
-        raise ValueError(
-            f"{potentials.pairwise.shape[0]} pairwise matrices for "
-            f"{graph.num_edges} edges"
-        )
+    count = len(potentials.pairwise if potentials.potts is None else potentials.potts)
+    if count != graph.num_edges:
+        raise ValueError(f"{count} pairwise matrices for {graph.num_edges} edges")
 
 
 def check_marginals(marginals, num_nodes=None, num_labels=None):
@@ -199,11 +266,19 @@ def objective_of_labeling(graph, potentials, labeling):
         ea = graph.edges
         xi = x[ea[:, 0]]
         xj = x[ea[:, 1]]
-        block = np.arange(0, graph.num_edges * k * k, k * k)
-        psi = potentials.pairwise.reshape(-1)
-        forward = np.take(psi, block + xi * k + xj)
-        backward = np.take(psi, block + xj * k + xi)
-        value += float(forward.sum() + backward.sum())
+        if potentials.potts is not None:
+            # entries (xi, xj) and (xj, xi) of a Potts block are both its
+            # diagonal weight where the labels agree, its off-diagonal one
+            # otherwise: one gather serves both directions
+            pair = np.arange(0, 2 * graph.num_edges, 2) + (xi != xj)
+            half = np.take(potentials.potts.reshape(-1), pair).sum()
+            value += float(half + half)
+        else:
+            block = np.arange(0, graph.num_edges * k * k, k * k)
+            psi = potentials.pairwise.reshape(-1)
+            forward = np.take(psi, block + xi * k + xj)
+            backward = np.take(psi, block + xj * k + xi)
+            value += float(forward.sum() + backward.sum())
     return value
 
 

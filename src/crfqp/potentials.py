@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _as_integers, _check_positive
+from .core import _as_floats, _as_integers, _check_positive, _potts_blocks
 
 __all__ = ["bhattacharyya_distance"]
 
@@ -149,21 +149,24 @@ def _bhattacharyya_rows(ha, hb):
     return np.sqrt(np.clip(radicand, 0.0, 1.0))
 
 
-def pairwise_potential(dis, num_labels):
-    """Potts-style pairwise matrices: 1 - dis^2 on the diagonal, dis^2
-    off it.  `dis` is a scalar or an array of values in [0, 1]; the
-    result has shape dis.shape + (num_labels, num_labels)."""
-    dis = np.asarray(dis, dtype=np.float64)
+def potts_weights(dis):
+    """Potts (diagonal, off-diagonal) weights 1 - dis^2 and dis^2, with
+    shape dis.shape + (2,).  `dis` is a number or an array of numbers
+    in [0, 1]."""
+    dis = _as_floats(dis, "dissimilarity must be a number, got {!r}")
     in_range = (dis >= 0.0) & (dis <= 1.0)
     if not np.all(in_range):
         bad = dis[~in_range].flat[0]
         raise ValueError(f"dissimilarity must lie in [0, 1], got {bad}")
     d2 = dis * dis
-    shape = d2.shape + (num_labels, num_labels)
-    psi = np.broadcast_to(d2[..., None, None], shape).copy()
-    diag = np.arange(num_labels)
-    psi[..., diag, diag] = (1.0 - d2)[..., None]
-    return psi
+    return np.stack([1.0 - d2, d2], axis=-1)
+
+
+def pairwise_potential(dis, num_labels):
+    """Potts-style pairwise matrices: 1 - dis^2 on the diagonal, dis^2
+    off it.  `dis` is as for `potts_weights`; the result has shape
+    dis.shape + (num_labels, num_labels)."""
+    return _potts_blocks(potts_weights(dis), num_labels)
 
 
 def edge_dissimilarities(features, edges, params):

@@ -174,11 +174,18 @@ def reduce_problem(graph, potentials, constraint_sets):
     label p (both directions of the undirected edge); this reproduces
     the original objective exactly at integral assignments.
 
+    Potts input (`Potentials.potts`) reduces to Potts output without
+    forming a block: an internal edge adds twice its diagonal weight to
+    every label, and a bundle sums its edges' weight pairs, with no
+    transpose, since a Potts block is symmetric.  Each output value is
+    the sum the block path forms for the same entries, so the Potts
+    result's blocks are bitwise the block path's on the same input.
+
     Each output entry is one fixed sequence of float additions, so the
     result is reproducible bit for bit.  A supernode's unary row starts
     from zero and adds its members' unary rows in node order, then the
     doubled diagonals of its internal edges in edge order.  A super-edge
-    block starts from the first block of its bundle (in edge order) and
+    term starts from the first term of its bundle (in edge order) and
     adds the others in edge order.  The scatters index single elements
     of the flat outputs, and `np.add.at` applies the updates in index
     order, so each element sees exactly this sequence.
@@ -187,37 +194,43 @@ def reduce_problem(graph, potentials, constraint_sets):
     node_to_super = build_null_space_operator(graph, constraint_sets)
     m = int(node_to_super.max()) + 1
     k = graph.num_labels
+    potts = potentials.potts
 
     rho = np.zeros((m, k))
     _add_rows(rho, node_to_super, potentials.unary)
 
     ends = node_to_super[graph.edges]
-    a, b = ends[:, 0], ends[:, 1]
-    internal = a == b
-    diag = np.diagonal(potentials.pairwise, axis1=1, axis2=2)
-    _add_rows(rho, a[internal], 2.0 * diag[internal])
-
+    internal = ends[:, 0] == ends[:, 1]
+    inner = ends[internal, 0]
     crossing = ~internal
-    a, b = a[crossing], b[crossing]
-    flip = a > b
+    a, b = ends[crossing].T
+    if potts is not None:
+        _add_rows(rho, inner, np.repeat(2.0 * potts[internal, 0], k))
+        # indexing keeps a Fortran-ordered input's layout; the scatter
+        # into the sums needs C order
+        terms = np.ascontiguousarray(potts[crossing])
+    else:
+        diag = np.diagonal(potentials.pairwise, axis1=1, axis2=2)
+        _add_rows(rho, inner, 2.0 * diag[internal])
+        terms = np.ascontiguousarray(potentials.pairwise[crossing])
+        flip = a > b
+        terms[flip] = terms[flip].transpose(0, 2, 1)
+
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    # indexing keeps a Fortran-ordered input's layout; the scatter into
-    # tau needs C order
-    blocks = np.ascontiguousarray(potentials.pairwise[crossing])
-    blocks[flip] = blocks[flip].transpose(0, 2, 1)
     # Number super-edges by first appearance; each bundle starts from its
-    # first block and adds the rest in edge order.
+    # first term and adds the rest in edge order.
     _, first, bundle = np.unique(lo * m + hi, return_index=True, return_inverse=True)
     order = np.argsort(first)
     bundle = np.argsort(order)[bundle]
     head = first[order]
-    tau = blocks[head]
-    rest = np.ones(len(blocks), dtype=bool)
+    tau = terms[head]
+    rest = np.ones(len(terms), dtype=bool)
     rest[first] = False
-    _add_rows(tau, bundle[rest], blocks[rest])
+    _add_rows(tau, bundle[rest], terms[rest])
 
     super_graph = CrfGraph(m, k, np.stack([lo[head], hi[head]], axis=1))
-    return ReducedProblem(super_graph, Potentials(rho, tau), node_to_super)
+    reduced = Potentials(rho, potts=tau) if potts is not None else Potentials(rho, tau)
+    return ReducedProblem(super_graph, reduced, node_to_super)
 
 
 def expand_solution(reduced, reduced_marginals):

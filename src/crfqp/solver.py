@@ -270,18 +270,20 @@ class _DecoderTerms(NamedTuple):
 
 def _decoder_terms(potentials, shift=True):
     """Floor-shift `potentials` (unless `shift` is false) and split
-    off the pairwise sums psi + psi^T, deciding Potts once, from the raw
-    blocks.
+    off the pairwise sums psi + psi^T, deciding Potts once.
 
-    A Potts graph (every raw block bitwise Potts) is read once, for the
-    check, and then handled as (E, 2) weights: a Potts block holds only
-    its two weights, so `shift_to_floor` on the weights shifts every
-    entry of the blocks alike, and psi + psi^T is w + w.  Any other
-    graph is shifted as blocks and forms the sums in full."""
-    unary, pairwise, offset = potentials.unary, potentials.pairwise, 0.0
-    weights = _potts_weights(pairwise)
-    if weights is not None:
-        pairwise = weights
+    Potentials that store Potts weights (`Potentials.potts`) are used as
+    they are, with no scan.  Block input is Potts when every raw block
+    is bitwise Potts; its blocks are read once, for the check, and then
+    handled as (E, 2) weights.  Either way a Potts block holds only its
+    two weights, so `shift_to_floor` on the weights shifts every entry
+    of the blocks alike, and psi + psi^T is w + w.  Any other graph is
+    shifted as blocks and forms the sums in full."""
+    unary, offset = potentials.unary, 0.0
+    weights = potentials.potts
+    if weights is None:
+        weights = _potts_weights(potentials.pairwise)
+    pairwise = potentials.pairwise if weights is None else weights
     if shift:
         unary, pairwise, offset = shift_to_floor(unary, pairwise)
     if weights is not None:
@@ -419,17 +421,19 @@ def solve(graph, potentials, config=None, callback=None):
     callback : callable, optional
         Called as callback(iteration, marginals) after every update.
 
-    When every edge's raw block is Potts (all diagonal entries bitwise
-    equal, all off-diagonal entries bitwise equal, edge by edge), the
+    When the potentials store Potts weights (`Potentials.potts`), or
+    every edge's raw block is Potts (all diagonal entries bitwise equal,
+    all off-diagonal entries bitwise equal, edge by edge), the
     pairwise term runs on one N x N adjacency with 2E non-zeros and a
     per-node constant instead of a K x K block per edge; traces agree
     with the general operator to roundoff, as the sums run in another
     order.  The constant takes every row sum as 1, so the product is
     exact on the simplex; every iterate is normalised row by row, so its
-    rows stay within a few ulp of 1 and so does the product.  Potts is
-    decided from the raw blocks, which are read once: the floor shift
-    then acts on the per-edge (diagonal, off-diagonal) weights, and no
-    K x K block is copied.  Any other graph takes the general operator.
+    rows stay within a few ulp of 1 and so does the product.  Stored
+    weights are used with no scan; blocks are read once, for the Potts
+    check.  The floor shift then acts on the per-edge (diagonal,
+    off-diagonal) weights, and no K x K block is copied.  Any other
+    graph takes the general operator.
 
     One iteration is one operator application, one step of `iterate`'s
     arithmetic without its input checks, the trace value and a stop

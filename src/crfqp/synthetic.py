@@ -20,7 +20,7 @@ from .potentials import (
     PotentialParams,
     build_edges,
     edge_dissimilarities,
-    pairwise_potential,
+    potts_weights,
 )
 
 __all__ = ["generate_scene"]
@@ -175,7 +175,9 @@ def generate_scene(
     u drawn uniformly per label, renormalized.  At noise=0 the unaries
     identify the truth exactly; at noise=1 they carry no signal.
 
-    `pairwise_weight` scales the feature-derived edge matrices.  Unit
+    `pairwise_weight` scales the feature-derived Potts weights, which
+    the scene's potentials store as (E, 2) (diagonal, off-diagonal)
+    pairs rather than K x K matrices.  Unit
     weight lets smoothing dwarf the unit-sum unary rows on a grid (two
     edges per node, each worth up to 2), which collapses scenes toward
     constant labelings; the default keeps data and smoothing terms at
@@ -225,14 +227,14 @@ def generate_scene(
 
     edges = build_edges(features.centroids, params.theta)
     dis = edge_dissimilarities(features, edges, params)
-    psi = pairwise_weight * pairwise_potential(dis, num_labels)
+    potts = pairwise_weight * potts_weights(dis)
 
     unary = (1.0 - noise) * np.eye(num_labels)[true_labels]
     unary = unary + noise * rng.uniform(0.0, 1.0, size=(n, num_labels))
     unary /= unary.sum(axis=1, keepdims=True)
 
     graph = CrfGraph(num_nodes=n, num_labels=num_labels, edges=edges)
-    potentials = Potentials(unary=unary, pairwise=psi)
+    potentials = Potentials(unary, potts=potts)
 
     ground = _ground_points(rng, width, height)
     blobs, blob_nodes = [], []

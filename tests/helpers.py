@@ -52,6 +52,12 @@ def random_potts_instance(rng, num_nodes, num_labels, edge_prob=0.4):
     return graph, Potentials(unary, pairwise)
 
 
+def block_twin(potentials):
+    """The same potentials with the pairwise term stored as (E, K, K)
+    blocks: for Potts weights, the blocks they stand for."""
+    return Potentials(potentials.unary, potentials.pairwise)
+
+
 def loop_pairwise_matvec(graph, pairwise, mu):
     """Edge-by-edge pairwise gradient half: for each edge, the symmetric
     part of its block times the other end's marginals."""
@@ -118,6 +124,7 @@ def objective(graph, potentials, marginals):
 def naive_objective(graph, potentials, mu):
     """Triple-loop restatement of the double-counted objective."""
     mu = np.asarray(mu, dtype=np.float64)
+    pairwise = potentials.pairwise
     value = 0.0
     for i in range(graph.num_nodes):
         for p in range(graph.num_labels):
@@ -125,7 +132,7 @@ def naive_objective(graph, potentials, mu):
     for e, (i, j) in enumerate(graph.edges):
         for p in range(graph.num_labels):
             for q in range(graph.num_labels):
-                value += potentials.pairwise[e, p, q] * (
+                value += pairwise[e, p, q] * (
                     mu[i, p] * mu[j, q] + mu[j, p] * mu[i, q]
                 )
     return value
@@ -136,8 +143,9 @@ def quad_objective(graph, potentials, mu):
     finite-difference."""
     mu = np.asarray(mu, dtype=np.float64)
     value = float(np.sum(potentials.unary * mu))
+    pairwise = potentials.pairwise
     for e, (i, j) in enumerate(graph.edges):
-        psi = potentials.pairwise[e]
+        psi = pairwise[e]
         value += float(mu[i] @ psi @ mu[j] + mu[j] @ psi @ mu[i])
     return value
 
@@ -161,11 +169,12 @@ def fd_gradient(graph, potentials, mu, h=1e-5):
 def score_labeling(graph, potentials, labeling):
     """Loop-based integer objective."""
     value = 0.0
+    pairwise = potentials.pairwise
     for i in range(graph.num_nodes):
         value += potentials.unary[i, labeling[i]]
     for e, (i, j) in enumerate(graph.edges):
-        value += potentials.pairwise[e, labeling[i], labeling[j]]
-        value += potentials.pairwise[e, labeling[j], labeling[i]]
+        value += pairwise[e, labeling[i], labeling[j]]
+        value += pairwise[e, labeling[j], labeling[i]]
     return float(value)
 
 
@@ -280,17 +289,18 @@ def loop_reduction(graph, potentials, node_to_super):
     for i, row in enumerate(potentials.unary):
         unary[node_to_super[i]] += row
     blocks = {}
+    pairwise = potentials.pairwise
     for e, (i, j) in enumerate(graph.edges.tolist()):
         a, b = int(node_to_super[i]), int(node_to_super[j])
-        psi = potentials.pairwise[e]
+        psi = pairwise[e]
         if a == b:
             unary[a] += 2.0 * np.diag(psi)
         elif (min(a, b), max(a, b)) in blocks:
             blocks[min(a, b), max(a, b)] += psi if a < b else psi.T
         else:
             blocks[min(a, b), max(a, b)] = (psi if a < b else psi.T).copy()
-    pairwise = np.array(list(blocks.values())).reshape(-1, k, k)
-    return unary, list(blocks), pairwise
+    summed = np.array(list(blocks.values())).reshape(-1, k, k)
+    return unary, list(blocks), summed
 
 
 def full_matrix_ground_plane(cloud, params):
@@ -414,13 +424,14 @@ def problem_to_dict(problem):
     """A problem file's document as nested lists and dicts, edges with
     explicit matrices.  `saved_bytes` turns it into the bytes
     `save_problem` must write."""
+    pairwise = problem.potentials.pairwise
     doc = {
         "version": 1,
         "num_labels": problem.graph.num_labels,
         "num_nodes": problem.graph.num_nodes,
         "unary": problem.potentials.unary.tolist(),
         "edges": [
-            {"i": i, "j": j, "psi": problem.potentials.pairwise[e].tolist()}
+            {"i": i, "j": j, "psi": pairwise[e].tolist()}
             for e, (i, j) in enumerate(problem.graph.edges.tolist())
         ],
         "constraints": [list(group) for group in problem.constraint_sets.sets],

@@ -23,6 +23,7 @@ from crfqp.baselines import (
 )
 from crfqp.solver import FLOOR, _decoder_terms
 from helpers import (
+    block_twin,
     dense_lbp,
     enumerate_map,
     random_disjoint_sets,
@@ -183,9 +184,11 @@ def _is_potts(pot):
 def test_lbp_matches_dense_reference_bitwise_on_potts_scenes():
     for seed in range(4):
         scene = generate_scene(18, 15, num_objects=3, num_labels=5, seed=seed)
-        assert _is_potts(scene.potentials)
-        for kwargs in ({}, {"max_iters": 7}, {"damping": 0.0, "max_iters": 40}):
-            _assert_same_run(scene.graph, scene.potentials, **kwargs)
+        # stored Potts weights, and the blocks they stand for
+        for pot in (scene.potentials, block_twin(scene.potentials)):
+            assert _is_potts(pot)
+            for kwargs in ({}, {"max_iters": 7}, {"damping": 0.0, "max_iters": 40}):
+                _assert_same_run(scene.graph, pot, **kwargs)
     rng = np.random.default_rng(73)
     for _ in range(30):
         n = int(rng.integers(2, 25))
@@ -270,6 +273,7 @@ def test_lbp_stop_test_probe_matches_dense_reference(potts, seeds):
     if potts:
         scenes = [generate_scene(16, 16, 3, 4, seed=seed) for seed in range(2)]
         cases += [(scene.graph, scene.potentials) for scene in scenes]
+        cases += [(scene.graph, block_twin(scene.potentials)) for scene in scenes]
     else:
         rng = np.random.default_rng(113)
         cases += [random_tree(rng, 60, 4) for _ in range(2)]

@@ -21,7 +21,7 @@ from crfqp import (
     objective_of_labeling,
 )
 from crfqp.core import check_labeling, check_marginals
-from crfqp.potentials import PotentialParams
+from crfqp.potentials import PotentialParams, pairwise_potential
 from helpers import (
     fancy_objective_of_labeling,
     naive_objective,
@@ -159,6 +159,16 @@ def test_potentials_validation():
         Potentials([1.0, 2.0])
     with pytest.raises(ValueError, match="pairwise"):
         Potentials(np.zeros((2, 2)), np.zeros((1, 3, 3)))
+    for shape in ((3,), (3, 3), (3, 2, 2)):
+        with pytest.raises(ValueError, match=r"potts must have shape \(E, 2\)"):
+            Potentials(np.zeros((2, 2)), potts=np.zeros(shape))
+    with pytest.raises(ValueError, match="not both"):
+        Potentials(np.zeros((2, 2)), np.zeros((1, 2, 2)), potts=np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="finite"):
+        Potentials(np.zeros((2, 2)), potts=[[0.5, np.nan]])
+    # no edges: the empty blocks, or empty weights
+    assert Potentials(np.zeros((2, 3))).pairwise.shape == (0, 3, 3)
+    assert Potentials(np.zeros((2, 3)), potts=np.zeros((0, 2))).pairwise.shape == (0, 3, 3)
 
 
 def test_dimension_mismatch_is_rejected():
@@ -225,6 +235,13 @@ def _eval_labels(tmp_path, value):
 
 _PAIR = (CrfGraph(2, 2, [(0, 1)]), Potentials(np.zeros((2, 2)), [np.eye(2)]))
 
+
+def _rows(value, count):
+    """`count` copies of `value` as the rows of one value of its own
+    kind: a list of lists, or a numpy array."""
+    return np.stack([value] * count) if isinstance(value, np.ndarray) else [value] * count
+
+
 # (boundary, kind, field the message names, call taking the value)
 BOUNDARIES = [
     ("CrfGraph", "count", "num_nodes", lambda v, _: CrfGraph(v, 2)),
@@ -258,6 +275,17 @@ BOUNDARIES = [
     ("NodeProjection", "array", "node indices", lambda a, _: NodeProjection(a)),
     ("ConstraintSets", "array", "constraint set node", lambda a, _: ConstraintSets([list(a)])),
     ("expansion_operator", "array", "supernode indices", lambda a, _: expansion_operator(a, 2)),
+    # these take a list [0.0, value] or np.full(2, value) of bad values,
+    # or the array [0, 1] in a valid dtype, as one row of K = 2 entries
+    ("Potentials", "floats", "unary", lambda v, _: Potentials(_rows(v, 1))),
+    (
+        "Potentials",
+        "floats",
+        "pairwise",
+        lambda v, _: Potentials(np.zeros((2, 2)), _rows(_rows(v, 2), 1)),
+    ),
+    ("Potentials", "floats", "potts", lambda v, _: Potentials(np.zeros((2, 2)), potts=_rows(v, 1))),
+    ("pairwise_potential", "floats", "dissimilarity", lambda v, _: pairwise_potential(v, 2)),
 ]
 
 # Python and numpy forms of the same value, a string, and non-finite floats
@@ -265,13 +293,24 @@ _BAD = {
     "count": (True, np.True_, 2.5, np.float64(3.0), "3", np.nan, np.inf, 0, -1),
     "positive": (True, np.True_, "3", np.nan, np.inf, -np.inf, 0.0, -1.0, None),
     "array": (True, 2.5, "3", np.nan, np.inf),
+    "floats": (True, np.True_, "0.5", None),
 }
 _GOOD = {
     "count": (3, np.int64(3), np.int32(3), np.uint8(3)),
     "positive": (2.5, 1, np.float32(0.5), np.float64(0.5), np.int64(2)),
     # dtypes of the array [0, 1]
     "array": (int, np.int64, np.int32, np.uint8, float, np.float32),
+    "floats": (int, np.int64, np.uint8, float, np.float32, np.float64),
 }
+
+
+def _bad_forms(kind, value):
+    """What the test hands a boundary of `kind` for the bad `value`."""
+    if kind == "array":
+        return [np.full(2, value)]
+    if kind == "floats":
+        return [np.full(2, value), [0.0, value]]
+    return [value]
 
 
 @pytest.mark.parametrize(
@@ -280,13 +319,16 @@ _GOOD = {
 def test_every_boundary_applies_its_rule(kind, field, call, tmp_path):
     """One rule per kind of input, the same at every boundary: a count
     is an integer, a positive number a finite real above 0, and an
-    integer array holds integers or integral floats.  Bools are none of
-    them; numpy scalars and dtypes pass like their Python forms."""
+    integer array holds integers or integral floats, and a float array
+    numbers.  Bools are none of them; numpy scalars and dtypes pass like
+    their Python forms."""
     for value in _BAD[kind]:
-        with pytest.raises(ValueError, match=field):
-            call(np.full(2, value) if kind == "array" else value, tmp_path)
+        for form in _bad_forms(kind, value):
+            with pytest.raises(ValueError, match=field):
+                call(form, tmp_path)
     for value in _GOOD[kind]:
-        call(np.array([0, 1], dtype=value) if kind == "array" else value, tmp_path)
+        good = np.array([0, 1], dtype=value) if kind in ("array", "floats") else value
+        call(good, tmp_path)
 
 
 # each of these was read as something else, without an error; the
@@ -343,6 +385,28 @@ CORRUPTED = {
     "none-node": (
         "constraint set node None is not an integer",
         lambda: ConstraintSets([[0, None]]),
+    ),
+    # numpy converts strings and bools of a list to the floats they spell
+    "string-unary-in-list": (
+        "unary must hold numbers, got '1.5'",
+        lambda: Potentials([["1.5", "0"], ["0", "1"]]),
+    ),
+    "bool-unary-in-list": (
+        "unary must hold numbers, got True",
+        lambda: Potentials([[True, False], [False, True]]),
+    ),
+    "string-dissimilarity": (
+        "dissimilarity must be a number, got '0.5'",
+        lambda: pairwise_potential("0.5", 2),
+    ),
+    "bool-dissimilarity": (
+        "dissimilarity must be a number, got True",
+        lambda: pairwise_potential(True, 2),
+    ),
+    # a Python integer beyond float64 raised OverflowError
+    "too-large-integer-pairwise": (
+        "pairwise must hold numbers, got 1000",
+        lambda: Potentials(np.zeros((1, 2)), [[[0, 10**400], [0, 0]]]),
     ),
 }
 

@@ -33,6 +33,7 @@ from crfqp.solver import (
     shift_to_floor,
 )
 from helpers import (
+    block_twin,
     coo_general_csr,
     dense_lbp,
     fd_gradient,
@@ -183,8 +184,12 @@ def test_solve_steps_along_compute_gradient_at_benchmark_scale():
     assert graph.num_edges > 1000 and _potts_weights(pot.pairwise) is None
     _assert_steps_along_compute_gradient(graph, pot, 6)
     scene = generate_scene(width=40, height=40, num_objects=6, num_labels=7, seed=3)
-    assert _potts_weights(scene.potentials.pairwise) is not None
-    _assert_steps_along_compute_gradient(scene.graph, scene.potentials, 6)
+    # the scene stores Potts weights; its block twin takes the Potts
+    # path through the check of the raw blocks
+    twin = block_twin(scene.potentials)
+    assert _potts_weights(twin.pairwise) is not None
+    for pot in (scene.potentials, twin):
+        _assert_steps_along_compute_gradient(scene.graph, pot, 6)
 
 
 def test_uniform_start_is_bitwise_the_remainder_formula():
@@ -505,22 +510,25 @@ def test_floor_shift_overflow_is_rejected():
 
 def test_potts_set_up_copies_no_block():
     scene = generate_scene(40, 40, num_objects=3, num_labels=7, seed=0)
-    graph, pot = scene.graph, scene.potentials
+    graph = scene.graph
     mu = np.full((graph.num_nodes, 7), 1.0 / 7.0)
     # peak traced bytes, in units of the (E, K, K) pairwise array
-    runs = (
-        (lambda: solve(graph, pot, SolverConfig(max_iterations=5)), 1),
-        (lambda: compute_gradient(graph, pot, mu), 1),
-        (lambda: lbp_map(graph, pot, max_iters=5), 2),
-    )
-    for run, limit in runs:
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < limit * pot.pairwise.nbytes
+    block_bytes = graph.num_edges * 7 * 7 * 8
+    # stored Potts weights, and the blocks they stand for
+    for pot in (scene.potentials, block_twin(scene.potentials)):
+        runs = (
+            (lambda: solve(graph, pot, SolverConfig(max_iterations=5)), 1),
+            (lambda: compute_gradient(graph, pot, mu), 1),
+            (lambda: lbp_map(graph, pot, max_iters=5), 2),
+        )
+        for run, limit in runs:
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit * block_bytes
 
 
 def test_iterate_known_step():

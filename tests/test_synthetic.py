@@ -97,9 +97,10 @@ def test_pairwise_blocks_follow_edge_dissimilarity():
     scene = small_scene()
     dis = edge_dissimilarities(scene.features, scene.graph.edges, scene.params)
     k = scene.num_labels
+    pairwise = scene.potentials.pairwise
     for e in range(scene.graph.num_edges):
         want = 0.2 * pairwise_potential(dis[e], k)
-        assert scene.potentials.pairwise[e] == pytest.approx(want, abs=1e-12)
+        assert pairwise[e] == pytest.approx(want, abs=1e-12)
 
 
 def test_scene_argument_validation():
