@@ -179,8 +179,8 @@ def lbp_map(graph, potentials, max_iters=200, damping=0.5):
     messages.  The best labeling seen (by objective value) is returned,
     so non-convergence still yields a usable answer.
 
-    On Potts graphs, as in `solve` (stored Potts weights, or blocks that
-    are all bitwise Potts), messages cost O(K) instead of O(K^2);
+    On Potts graphs, as in `solve` (`Potentials.potts`), messages cost
+    O(K) instead of O(K^2);
     labelings, traces and iteration counts are bitwise those of the
     dense update, which every other graph uses.  The floor shift and
     psi + psi^T then act on the per-edge (diagonal, off-diagonal)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .core import _as_integers, _check_count, _check_positive
+from .core import _as_floats, _as_integers, _check_count, _check_positive
 from .reduction import ConstraintSets
 
 __all__ = [
@@ -72,7 +72,7 @@ class NodeProjection:
 
 
 def _as_points(cloud):
-    pts = np.asarray(cloud, dtype=np.float64)
+    pts = _as_floats(cloud, "point cloud must hold numbers, got {!r}")
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"point cloud must have shape (n, 3), got {pts.shape}")
     if not np.all(np.isfinite(pts)):

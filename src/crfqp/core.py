@@ -154,6 +154,32 @@ def _potts_blocks(weights, num_labels):
     return np.where(eye, weights[..., :1, None], weights[..., 1:, None])
 
 
+def _potts_weights(blocks):
+    """Per-edge (diagonal, off-diagonal) values of `blocks` (E, K, K),
+    as an (E, 2) array, when on every edge all diagonal entries are
+    bitwise equal and all off-diagonal entries are bitwise equal; None
+    when some edge breaks the pattern.
+
+    In a flattened block, entries K + 1 apart are both diagonal or both
+    off-diagonal, and entries 1..K are off-diagonal, one from each of
+    the K off-diagonal residue classes mod K + 1.  So a block is Potts
+    exactly when it repeats with period K + 1 and its entries 1..K
+    agree.  The period is checked on the raw bits of all blocks in one
+    comparison, whose bool temporary is one byte per block entry."""
+    e, k = blocks.shape[:2]
+    size, period = k * k, k + 1
+    flat = np.ascontiguousarray(blocks).view(np.uint64).reshape(-1)
+    same = np.empty(flat.size, dtype=bool)
+    np.equal(flat[:-period], flat[period:], out=same[:-period])
+    # the last K + 1 comparisons of a block reach into the next one
+    if not same.reshape(e, size)[:, : size - period].all():
+        return None
+    bits = flat.reshape(e, size)
+    if not all((bits[:, j] == bits[:, 1]).all() for j in range(2, period)):
+        return None
+    return blocks[:, 0, :2].copy()
+
+
 @dataclass(frozen=True)
 class Potentials:
     """Unary scores (num_nodes, num_labels) and one pairwise term per
@@ -164,11 +190,14 @@ class Potentials:
       off-diagonal value, for the matrices that hold the first on the
       diagonal and the second off it.
 
-    Pass at most one; with neither there are no edges.  ``potts`` is the
-    weights, or None for matrix input.  ``pairwise`` is always the
-    matrices: the stored array, or for Potts input a new array built on
-    each access, so a Potts graph stores O(E) values.  Entries must be
-    finite numbers; bools, strings and None are rejected."""
+    Pass at most one; with neither there are no edges.  Potts is decided
+    here, once: with K >= 2, matrices that are all bitwise Potts are
+    stored as weights, which later changes to the caller's array do not
+    reach.  ``potts`` is the weights, or None for other matrices.
+    ``pairwise`` is always the matrices: the caller's array, or for
+    Potts weights a new array built on each access, so a Potts graph
+    stores O(E) values.  Entries must be finite numbers; bools, strings
+    and None are rejected."""
 
     unary: np.ndarray
     potts: np.ndarray | None
@@ -197,13 +226,15 @@ class Potentials:
             values = pairwise
         if not np.all(np.isfinite(unary)) or not np.all(np.isfinite(values)):
             raise ValueError("potentials must be finite")
+        if potts is None and k >= 2:
+            potts = _potts_weights(pairwise)
         object.__setattr__(self, "unary", unary)
         object.__setattr__(self, "potts", potts)
-        object.__setattr__(self, "_blocks", pairwise)
+        object.__setattr__(self, "_blocks", pairwise if potts is None else None)
 
     @property
     def pairwise(self):
-        """The (E, K, K) matrices; for Potts input, a new array."""
+        """The (E, K, K) matrices; for Potts weights, a new array."""
         if self.potts is None:
             return self._blocks
         return _potts_blocks(self.potts, self.unary.shape[1])
@@ -221,9 +252,9 @@ def _check_dims(graph, potentials):
 
 
 def check_marginals(marginals, num_nodes=None, num_labels=None):
-    """Validate a marginals array: shape, entries in [0, 1], rows on the
-    probability simplex within `_SIMPLEX_TOL`.  Returns it as float64."""
-    mu = np.asarray(marginals, dtype=np.float64)
+    """Validate a marginals array: numbers, shape, entries in [0, 1], rows
+    on the probability simplex within `_SIMPLEX_TOL`.  Returns float64."""
+    mu = _as_floats(marginals, "marginals must hold numbers, got {!r}")
     if mu.ndim != 2:
         raise ValueError(f"marginals must be 2-D, got shape {mu.shape}")
     if num_nodes is not None and mu.shape[0] != num_nodes:

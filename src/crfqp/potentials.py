@@ -48,9 +48,10 @@ class NodeFeatures:
     histograms: np.ndarray
 
     def __init__(self, centroids, mean_colors, histograms):
-        centroids = np.array(centroids, dtype=np.float64)
-        mean_colors = np.array(mean_colors, dtype=np.float64)
-        histograms = np.array(histograms, dtype=np.float64)
+        message = "{} must hold numbers, got {{!r}}"
+        centroids = np.array(_as_floats(centroids, message.format("centroids")))
+        mean_colors = np.array(_as_floats(mean_colors, message.format("mean_colors")))
+        histograms = np.array(_as_floats(histograms, message.format("histograms")))
         if centroids.ndim != 2 or centroids.shape[1] != 2 or len(centroids) == 0:
             raise ValueError(
                 f"centroids must have shape (N, 2) with N >= 1, got {centroids.shape}"

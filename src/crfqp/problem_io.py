@@ -76,8 +76,9 @@ def _as_float_array(value, field, shape=None):
 
 
 def _feature_table(columns):
+    # the rows are checked float arrays: stacked, they pass with no scan
     try:
-        return NodeFeatures(*columns)
+        return NodeFeatures(*map(np.array, columns))
     except ValueError as exc:
         _fail("features", str(exc))
 

@@ -226,37 +226,11 @@ def _initial_marginals(unary, strategy):
     return mu
 
 
-def _potts_weights(blocks):
-    """Per-edge (diagonal, off-diagonal) values of `blocks` (E, K, K),
-    as an (E, 2) array, when on every edge all diagonal entries are
-    bitwise equal and all off-diagonal entries are bitwise equal; None
-    when some edge breaks the pattern.
-
-    In a flattened block, entries K + 1 apart are both diagonal or both
-    off-diagonal, and entries 1..K are off-diagonal, one from each of
-    the K off-diagonal residue classes mod K + 1.  So a block is Potts
-    exactly when it repeats with period K + 1 and its entries 1..K
-    agree.  The period is checked on the raw bits of all blocks in one
-    comparison, whose bool temporary is one byte per block entry."""
-    e, k = blocks.shape[:2]
-    size, period = k * k, k + 1
-    flat = np.ascontiguousarray(blocks).view(np.uint64).reshape(-1)
-    same = np.empty(flat.size, dtype=bool)
-    np.equal(flat[:-period], flat[period:], out=same[:-period])
-    # the last K + 1 comparisons of a block reach into the next one
-    if not same.reshape(e, size)[:, : size - period].all():
-        return None
-    bits = flat.reshape(e, size)
-    if not all((bits[:, j] == bits[:, 1]).all() for j in range(2, period)):
-        return None
-    return blocks[:, 0, :2].copy()
-
-
 class _DecoderTerms(NamedTuple):
     """What a decoder needs of potentials: the (shifted) unary, the
     amount the shift adds to the objective, and the pairwise sums
     psi + psi^T of every edge, either as (E, 2) Potts (diagonal,
-    off-diagonal) weights or, when some raw block is not Potts, as full
+    off-diagonal) weights or, for potentials that store blocks, as full
     (E, K, K) blocks.  IEEE addition is commutative, so each block of
     `sums` equals its own transpose bit for bit (signed zeros and
     overflows to inf included), and both directions of an edge use the
@@ -270,19 +244,12 @@ class _DecoderTerms(NamedTuple):
 
 def _decoder_terms(potentials, shift=True):
     """Floor-shift `potentials` (unless `shift` is false) and split
-    off the pairwise sums psi + psi^T, deciding Potts once.
-
-    Potentials that store Potts weights (`Potentials.potts`) are used as
-    they are, with no scan.  Block input is Potts when every raw block
-    is bitwise Potts; its blocks are read once, for the check, and then
-    handled as (E, 2) weights.  Either way a Potts block holds only its
-    two weights, so `shift_to_floor` on the weights shifts every entry
-    of the blocks alike, and psi + psi^T is w + w.  Any other graph is
-    shifted as blocks and forms the sums in full."""
+    off the pairwise sums psi + psi^T.  A Potts block holds only its two
+    weights (`Potentials.potts`), so `shift_to_floor` on the weights
+    shifts every entry of the blocks alike, and psi + psi^T is w + w.
+    Stored blocks are shifted as blocks and form the sums in full."""
     unary, offset = potentials.unary, 0.0
     weights = potentials.potts
-    if weights is None:
-        weights = _potts_weights(potentials.pairwise)
     pairwise = potentials.pairwise if weights is None else weights
     if shift:
         unary, pairwise, offset = shift_to_floor(unary, pairwise)
@@ -421,19 +388,16 @@ def solve(graph, potentials, config=None, callback=None):
     callback : callable, optional
         Called as callback(iteration, marginals) after every update.
 
-    When the potentials store Potts weights (`Potentials.potts`), or
-    every edge's raw block is Potts (all diagonal entries bitwise equal,
-    all off-diagonal entries bitwise equal, edge by edge), the
+    When the potentials store Potts weights (`Potentials.potts`), the
     pairwise term runs on one N x N adjacency with 2E non-zeros and a
     per-node constant instead of a K x K block per edge; traces agree
     with the general operator to roundoff, as the sums run in another
     order.  The constant takes every row sum as 1, so the product is
     exact on the simplex; every iterate is normalised row by row, so its
-    rows stay within a few ulp of 1 and so does the product.  Stored
-    weights are used with no scan; blocks are read once, for the Potts
-    check.  The floor shift then acts on the per-edge (diagonal,
-    off-diagonal) weights, and no K x K block is copied.  Any other
-    graph takes the general operator.
+    rows stay within a few ulp of 1 and so does the product.  The floor
+    shift then acts on the per-edge (diagonal, off-diagonal) weights,
+    and no K x K block is copied.  Any other graph takes the general
+    operator.
 
     One iteration is one operator application, one step of `iterate`'s
     arithmetic without its input checks, the trace value and a stop

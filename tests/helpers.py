@@ -53,8 +53,9 @@ def random_potts_instance(rng, num_nodes, num_labels, edge_prob=0.4):
 
 
 def block_twin(potentials):
-    """The same potentials with the pairwise term stored as (E, K, K)
-    blocks: for Potts weights, the blocks they stand for."""
+    """The same potentials built again from their (E, K, K) blocks: for
+    Potts weights, the blocks they stand for, which `Potentials` scans
+    and stores as weights again."""
     return Potentials(potentials.unary, potentials.pairwise)
 
 

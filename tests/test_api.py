@@ -133,8 +133,7 @@ def test_each_decoder_call_shifts_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(solver, "shift_to_floor", counted)
     for path, is_potts in ((potts, True), (general, False)):
-        terms = solver._decoder_terms(load_problem(path).potentials, shift=False)
-        assert (terms.potts is not None) == is_potts
+        assert (load_problem(path).potentials.potts is not None) == is_potts
         for name in ("qp", "cqp", "lbp"):
             calls.clear()
             argv = ["solve", str(path), "--solver", name, "--max-iters", "5"]

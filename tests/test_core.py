@@ -20,8 +20,9 @@ from crfqp import (
     lbp_map,
     objective_of_labeling,
 )
+from crfqp.cloud import euclidean_cluster
 from crfqp.core import check_labeling, check_marginals
-from crfqp.potentials import PotentialParams, pairwise_potential
+from crfqp.potentials import NodeFeatures, PotentialParams, pairwise_potential
 from helpers import (
     fancy_objective_of_labeling,
     naive_objective,
@@ -242,6 +243,14 @@ def _rows(value, count):
     return np.stack([value] * count) if isinstance(value, np.ndarray) else [value] * count
 
 
+def _point(value):
+    """The two entries of `value` and its first again, as one 3-D point
+    of its own kind."""
+    if isinstance(value, np.ndarray):
+        return np.concatenate([value, value[:1]])
+    return [*value, value[0]]
+
+
 # (boundary, kind, field the message names, call taking the value)
 BOUNDARIES = [
     ("CrfGraph", "count", "num_nodes", lambda v, _: CrfGraph(v, 2)),
@@ -286,6 +295,19 @@ BOUNDARIES = [
     ),
     ("Potentials", "floats", "potts", lambda v, _: Potentials(np.zeros((2, 2)), potts=_rows(v, 1))),
     ("pairwise_potential", "floats", "dissimilarity", lambda v, _: pairwise_potential(v, 2)),
+    ("check_marginals", "floats", "marginals", lambda v, _: check_marginals(_rows(v, 1), 1, 2)),
+    (
+        "euclidean_cluster",
+        "floats",
+        "point cloud",
+        lambda v, _: euclidean_cluster(_rows(_point(v), 1), 0.5),
+    ),
+    (
+        "NodeFeatures",
+        "floats",
+        "centroids",
+        lambda v, _: NodeFeatures(_rows(v, 1), [[0.5, 0.5, 0.5]], [[1.0]]),
+    ),
 ]
 
 # Python and numpy forms of the same value, a string, and non-finite floats

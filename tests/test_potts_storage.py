@@ -2,7 +2,7 @@
 
 Every decoder, the reduction, the integer objective and the problem
 writer must give, bit for bit, what they give on the (E, K, K) blocks
-the weights stand for, which take the block path and its Potts check.
+the weights stand for, which `Potentials` stores as the same weights.
 """
 
 import tracemalloc
@@ -26,8 +26,14 @@ from crfqp.bench import BENCH_NOISE, BENCH_PAIRWISE_WEIGHT, benchmark_constraint
 from crfqp.cloud import CloudParams, build_constraint_sets
 from crfqp.core import extract_labeling
 from crfqp.potentials import pairwise_potential, potts_weights
-from crfqp.problem_io import ProblemFile, save_problem
-from helpers import block_twin, loop_reduction, random_disjoint_sets, random_graph
+from crfqp.problem_io import ProblemFile, load_problem, save_problem
+from helpers import (
+    block_twin,
+    fancy_objective_of_labeling,
+    loop_reduction,
+    random_disjoint_sets,
+    random_graph,
+)
 
 
 def _scene_sweep(seed):
@@ -90,14 +96,14 @@ def test_potts_weights_give_the_outputs_of_their_blocks_bitwise(recipe, seed, tm
     scene, sets, config = recipe(seed)
     compact = scene.potentials
     twin = block_twin(compact)
-    assert compact.potts is not None and twin.potts is None
+    assert twin.potts.tobytes() == compact.potts.tobytes()
     got, reduced = _outputs(scene, compact, sets, config, tmp_path / "weights.json")
     want, twin_reduced = _outputs(scene, twin, sets, config, tmp_path / "blocks.json")
     assert got.keys() == want.keys()
     for name in want:
         assert got[name] == want[name], name
-    # Potts weights reduce to Potts weights; blocks to blocks
-    assert reduced.reduced.potts is not None and twin_reduced.reduced.potts is None
+    # Potts weights reduce to Potts weights, from either input
+    assert reduced.reduced.potts.tobytes() == twin_reduced.reduced.potts.tobytes()
 
 
 def _random_weights(rng, graph):
@@ -129,6 +135,9 @@ def test_potts_reduction_and_objective_are_the_block_paths_bitwise():
             x = rng.integers(0, k, size=n)
             a, b = objective_of_labeling(graph, compact, x), objective_of_labeling(graph, twin, x)
             assert np.float64(a).tobytes() == np.float64(b).tobytes()
+            # the block gathers, on the blocks the weights stand for
+            c = fancy_objective_of_labeling(graph, compact, x)
+            assert np.float64(a).tobytes() == np.float64(c).tobytes()
 
 
 def test_pairwise_of_potts_weights_is_a_new_block_array_each_time():
@@ -145,13 +154,51 @@ def test_pairwise_of_potts_weights_is_a_new_block_array_each_time():
 
 def test_reduction_of_potts_weights_builds_no_block():
     scene, sets, _ = _large_grid(0)
-    graph, pot = scene.graph, scene.potentials
+    graph = scene.graph
     block_bytes = graph.num_edges * graph.num_labels**2 * 8
-    tracemalloc.start()
-    try:
-        reduce_problem(graph, pot, sets)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # blocks in and out would take about 1.15 (E, K, K) arrays
-    assert peak < 0.5 * block_bytes
+    # Potts blocks are stored as weights, so they reduce as weights too
+    for pot in (scene.potentials, block_twin(scene.potentials)):
+        tracemalloc.start()
+        try:
+            reduce_problem(graph, pot, sets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # blocks in and out would take about 1.15 (E, K, K) arrays
+        assert peak < 0.5 * block_bytes
+
+
+def test_potentials_stores_potts_blocks_as_weights():
+    eye = np.eye(3, dtype=bool)
+    weights = np.array([[0.75, -0.0], [-2.0, 0.5]])
+    blocks = np.asfortranarray(np.where(eye, weights[:, :1, None], weights[:, 1:, None]))
+    pot = Potentials(np.zeros((3, 3)), blocks)
+    # Fortran-ordered blocks give the weights they hold, bit for bit
+    assert pot.potts.tobytes() == np.ascontiguousarray(blocks[:, 0, :2]).tobytes()
+    assert pot.pairwise is not blocks and pot.pairwise.tobytes() == blocks.tobytes()
+    blocks[0] = 7.0  # the caller's array: the stored weights do not change
+    assert pot.potts.tobytes() == weights.tobytes()
+
+
+def test_potentials_keeps_other_blocks_as_given():
+    signed = np.array([[[-0.0, 0.5], [0.5, 0.0]]])
+    # off-diagonals 0.25 and 0.75: the symmetric part is Potts, the block is not
+    skew = np.array([[[1.0, 0.25], [0.75, 1.0]]])
+    for blocks in (signed, skew):
+        pot = Potentials(np.zeros((2, 2)), blocks)
+        assert pot.potts is None and pot.pairwise is blocks
+    # with one label there is no off-diagonal value to store
+    one = np.ones((1, 1, 1))
+    pot = Potentials(np.zeros((2, 1)), one)
+    assert pot.potts is None and pot.pairwise is one
+
+
+def test_large_grid_problem_file_loads_potts_weights(tmp_path):
+    scene, sets, _ = _large_grid(0)
+    path = tmp_path / "grid.json"
+    save_problem(ProblemFile(scene.graph, scene.potentials, sets, None), path)
+    loaded = load_problem(path)
+    assert loaded.potentials.potts.tobytes() == scene.potentials.potts.tobytes()
+    again = tmp_path / "again.json"
+    save_problem(loaded, again)
+    assert again.read_bytes() == path.read_bytes()

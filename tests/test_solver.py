@@ -21,13 +21,12 @@ from crfqp import (
     solve,
     solve_constrained,
 )
-from crfqp.core import check_marginals
+from crfqp.core import _potts_weights, check_marginals
 from crfqp.potentials import pairwise_potential
 from crfqp.solver import (
     _PROBE,
     _decoder_terms,
     _initial_marginals,
-    _potts_weights,
     _quadratic_operator,
     iterate,
     shift_to_floor,
@@ -184,8 +183,8 @@ def test_solve_steps_along_compute_gradient_at_benchmark_scale():
     assert graph.num_edges > 1000 and _potts_weights(pot.pairwise) is None
     _assert_steps_along_compute_gradient(graph, pot, 6)
     scene = generate_scene(width=40, height=40, num_objects=6, num_labels=7, seed=3)
-    # the scene stores Potts weights; its block twin takes the Potts
-    # path through the check of the raw blocks
+    # the scene stores Potts weights; `Potentials` finds its block
+    # twin's raw blocks Potts and stores them as weights too
     twin = block_twin(scene.potentials)
     assert _potts_weights(twin.pairwise) is not None
     for pot in (scene.potentials, twin):
