@@ -10,7 +10,13 @@ psi[p, q] + psi[q, p].
 
 import numpy as np
 
-from .core import _check_count, _check_dims, extract_labeling, objective_of_labeling
+from .core import (
+    _check_count,
+    _check_dims,
+    _check_fraction,
+    extract_labeling,
+    objective_of_labeling,
+)
 from .solver import (
     SolverFailure,
     _decoder_terms,
@@ -37,6 +43,7 @@ def brute_force_map(graph, potentials):
     Returns
     -------
     (labeling, value) : (ndarray, float)
+        value is ``objective_of_labeling`` of the labeling, to the bit.
     """
     _check_dims(graph, potentials)
     n, k = graph.num_nodes, graph.num_labels
@@ -68,7 +75,7 @@ def brute_force_map(graph, potentials):
             best_val = float(vals[pos])
             best_idx = int(idx[pos])
     labeling = ((best_idx // powers) % k).astype(np.int64)
-    return labeling, best_val
+    return labeling, objective_of_labeling(graph, potentials, labeling)
 
 
 def _add_messages(beliefs, messages, tgt):
@@ -223,8 +230,9 @@ def lbp_map(graph, potentials, max_iters=200, damping=0.5):
         sums overflow.
     """
     _check_dims(graph, potentials)
-    if not 0.0 <= damping < 1.0:
-        raise ValueError(f"damping must lie in [0, 1), got {damping}")
+    _check_fraction("damping", damping)
+    if damping == 1:
+        raise ValueError(f"damping must lie in [0, 1), got {damping!r}")
     _check_count("max_iters", max_iters)
     n, k = graph.num_nodes, graph.num_labels
     terms = _decoder_terms(potentials)

@@ -9,6 +9,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
+from .core import _check_fraction
 from .evaluate import decode
 from .reduction import ConstraintSets
 from .solver import SolverConfig
@@ -49,8 +50,7 @@ def constraint_prefix(candidates, fraction, seed):
     """Seeded shuffle + prefix.  The shuffle depends only on the seed, so
     calls with the same seed and growing fractions select nested subsets
     and coverage grows monotonically."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("constraint fraction must lie in [0, 1]")
+    _check_fraction("constraint fraction", fraction)
     order = np.random.default_rng(seed).permutation(len(candidates))
     count = int(round(fraction * len(candidates)))
     return ConstraintSets([candidates[i] for i in order[:count]])

@@ -25,7 +25,13 @@ from .core import _check_count, objective_of_labeling
 from .evaluate import DECODERS, decode
 from .metrics import _COLUMNS, compute_metrics
 from .problem_io import ProblemFile, load_problem, save_problem
-from .solver import SolverConfig, SolverFailure, solve, solve_constrained  # noqa: F401
+from .solver import (
+    INIT_STRATEGIES,
+    SolverConfig,
+    SolverFailure,
+    solve,  # noqa: F401
+    solve_constrained,  # noqa: F401
+)
 from .synthetic import generate_scene
 
 __all__ = ["main", "build_parser"]
@@ -50,19 +56,19 @@ def build_parser():
     p_solve.add_argument(
         "--max-iters",
         type=int,
-        default=1000,
+        default=SolverConfig.max_iterations,
         help="iteration cap for qp/cqp; lbp ignores it and stops after 200",
     )
     p_solve.add_argument(
         "--tol",
         type=float,
-        default=1e-6,
+        default=SolverConfig.tol,
         help="max-change tolerance for qp/cqp; lbp ignores it and uses 1e-6",
     )
     p_solve.add_argument(
         "--init",
-        choices=("uniform", "unary_softmax"),
-        default="uniform",
+        choices=INIT_STRATEGIES,
+        default=SolverConfig.init,
         help="marginal initialization for qp/cqp",
     )
     p_solve.add_argument(

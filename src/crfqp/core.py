@@ -38,6 +38,13 @@ def _check_positive(name, value):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _check_fraction(name, value):
+    """Raise ValueError naming `name` unless `value` is a real in [0, 1]."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and 0 <= value <= 1):  # NaN fails the comparison
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+
+
 def _real_entries(values, ndim, message):
     """The scalars of the nested list or tuple `values`, `ndim` levels
     deep; ValueError(message), formatted with the first bool or
@@ -157,27 +164,14 @@ def _potts_blocks(weights, num_labels):
 def _potts_weights(blocks):
     """Per-edge (diagonal, off-diagonal) values of `blocks` (E, K, K),
     as an (E, 2) array, when on every edge all diagonal entries are
-    bitwise equal and all off-diagonal entries are bitwise equal; None
-    when some edge breaks the pattern.
-
-    In a flattened block, entries K + 1 apart are both diagonal or both
-    off-diagonal, and entries 1..K are off-diagonal, one from each of
-    the K off-diagonal residue classes mod K + 1.  So a block is Potts
-    exactly when it repeats with period K + 1 and its entries 1..K
-    agree.  The period is checked on the raw bits of all blocks in one
-    comparison, whose bool temporary is one byte per block entry."""
-    e, k = blocks.shape[:2]
-    size, period = k * k, k + 1
-    flat = np.ascontiguousarray(blocks).view(np.uint64).reshape(-1)
-    same = np.empty(flat.size, dtype=bool)
-    np.equal(flat[:-period], flat[period:], out=same[:-period])
-    # the last K + 1 comparisons of a block reach into the next one
-    if not same.reshape(e, size)[:, : size - period].all():
-        return None
-    bits = flat.reshape(e, size)
-    if not all((bits[:, j] == bits[:, 1]).all() for j in range(2, period)):
-        return None
-    return blocks[:, 0, :2].copy()
+    bitwise equal to entry (0, 0) and all off-diagonal entries bitwise
+    equal to entry (0, 1); None when some edge breaks the pattern.  The
+    diagonal is tested first, so dense blocks fail on the first comparison."""
+    bits = blocks.view(np.uint64)
+    eye = np.eye(blocks.shape[1], dtype=bool)
+    if (bits[:, eye] == bits[:, :1, 0]).all() and (bits[:, ~eye] == bits[:, :1, 1]).all():
+        return blocks[:, 0, :2].copy()
+    return None
 
 
 @dataclass(frozen=True)
@@ -315,7 +309,7 @@ def objective_of_labeling(graph, potentials, labeling):
 
 def extract_labeling(marginals):
     """Per-node argmax labeling; ties break toward the lowest label index."""
-    mu = np.asarray(marginals, dtype=np.float64)
+    mu = _as_floats(marginals, "marginals must hold numbers, got {!r}")
     if mu.ndim != 2:
         raise ValueError(f"marginals must be 2-D, got shape {mu.shape}")
     return np.argmax(mu, axis=1).astype(np.int64)

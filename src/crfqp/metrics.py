@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _as_integers
+from .core import _as_integers, _check_count
 
 __all__ = ["compute_metrics"]
 
@@ -24,6 +24,7 @@ class MetricsReport:
 
 def confusion_matrix(truth, predicted, num_labels):
     """K x K counts with rows indexed by truth, columns by prediction."""
+    num_labels = _check_count("num_labels", num_labels)
     truth = _as_integers(truth, "truth labels must be integers, got {!r}")
     predicted = _as_integers(predicted, "predicted labels must be integers, got {!r}")
     if truth.shape != predicted.shape or truth.ndim != 1:

@@ -132,8 +132,8 @@ def bhattacharyya_distance(a, b):
     in general D is not 0 for identical histograms.  Disjoint supports
     give exactly 1.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a = _as_floats(a, "histograms must hold numbers, got {!r}")
+    b = _as_floats(b, "histograms must hold numbers, got {!r}")
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError(f"histograms must share one shape, got {a.shape}, {b.shape}")
     if a.sum() <= 0 or b.sum() <= 0:

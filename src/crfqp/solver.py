@@ -57,6 +57,9 @@ __all__ = [
 # Value the floor shift moves the minimum unary and pairwise entries to.
 FLOOR = 1e-9
 
+# The starting marginals `SolverConfig.init` may name.
+INIT_STRATEGIES = ("uniform", "unary_softmax")
+
 # Leading entries of the flattened iterate whose change `solve` reads
 # before it scans the whole iterate (see `_StopTest`).
 _PROBE = 256
@@ -69,7 +72,7 @@ class SolverFailure(RuntimeError):
 @dataclass(frozen=True)
 class SolverConfig:
     """max_iterations: iteration cap; tol: convergence threshold on the
-    max absolute marginal change; init: 'uniform' or 'unary_softmax'."""
+    max absolute marginal change; init: one of `INIT_STRATEGIES`."""
 
     max_iterations: int = 1000
     tol: float = 1e-6
@@ -78,7 +81,7 @@ class SolverConfig:
     def __post_init__(self):
         _check_count("SolverConfig.max_iterations", self.max_iterations)
         _check_positive("SolverConfig.tol", self.tol)
-        if self.init not in ("uniform", "unary_softmax"):
+        if self.init not in INIT_STRATEGIES:
             raise ValueError(f"unknown init strategy {self.init!r}")
 
 

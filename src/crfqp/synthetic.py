@@ -13,7 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CrfGraph, Potentials, _check_count, _check_positive
+from .core import (
+    CrfGraph,
+    Potentials,
+    _as_integers,
+    _check_count,
+    _check_fraction,
+    _check_positive,
+)
 from .cloud import NodeProjection
 from .potentials import (
     NodeFeatures,
@@ -187,8 +194,7 @@ def generate_scene(
     height = _check_count("height", height, _BOX_SIDE_RANGE[0], "cells")
     num_objects = _check_count("num_objects", num_objects, 1, "object")
     num_labels = _check_count("num_labels", num_labels, 2, "labels")
-    if not 0.0 <= noise <= 1.0:
-        raise ValueError("noise must lie in [0, 1]")
+    _check_fraction("noise", noise)
     _check_positive("pairwise_weight", pairwise_weight)
 
     rng = np.random.default_rng(seed)
@@ -274,7 +280,7 @@ def tile_constraint_candidates(true_labels, width, height):
     Blocks are disjoint and label groups partition each block, so any
     subset of the candidates is a valid pairwise-disjoint collection.
     """
-    true_labels = np.asarray(true_labels, dtype=np.int64)
+    true_labels = _as_integers(true_labels, "true_labels must be integers, got {!r}")
     if true_labels.shape != (width * height,):
         raise ValueError("true_labels length must equal width * height")
     candidates = []

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from crfqp import (
     CrfGraph,
     Potentials,
     ProblemFile,
+    SolverConfig,
     SolverFailure,
     load_problem,
     objective_of_labeling,
@@ -353,6 +355,11 @@ def test_bench_writes_csv_and_prints_speedups(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["bench", "--sizes", "4", "--out", str(out)]) == 2
     assert "error: width must be a positive integer (at least 3 cells)" in capsys.readouterr().err
+
+
+def test_solve_defaults_are_solver_config_defaults():
+    args = cli.build_parser().parse_args(["solve", "p.json"])
+    assert (args.max_iters, args.tol, args.init) == astuple(SolverConfig())
 
 
 def test_bad_usage_exits_via_argparse():

@@ -14,15 +14,19 @@ from crfqp import (
     NodeProjection,
     Potentials,
     SolverConfig,
+    bhattacharyya_distance,
+    compute_metrics,
     expansion_operator,
     extract_labeling,
     generate_scene,
     lbp_map,
     objective_of_labeling,
 )
+from crfqp.bench import constraint_prefix
 from crfqp.cloud import euclidean_cluster
 from crfqp.core import check_labeling, check_marginals
 from crfqp.potentials import NodeFeatures, PotentialParams, pairwise_potential
+from crfqp.synthetic import tile_constraint_candidates
 from helpers import (
     fancy_objective_of_labeling,
     naive_objective,
@@ -265,6 +269,7 @@ BOUNDARIES = [
     ("generate_scene", "count", "num_labels", lambda v, _: _scene(num_labels=v)),
     ("eval", "count", "--labels", lambda v, tmp: _eval_labels(tmp, v)),
     ("expansion_operator", "count", "num_labels", lambda v, _: expansion_operator([0, 1], v)),
+    ("compute_metrics", "count", "num_labels", lambda v, _: compute_metrics([0, 1], [0, 1], v)),
     ("SolverConfig", "positive", "tol", lambda v, _: SolverConfig(tol=v)),
     (
         "CloudParams",
@@ -277,6 +282,14 @@ BOUNDARIES = [
     ("PotentialParams", "positive", "theta_c", lambda v, _: PotentialParams(1.0, v, 1.0)),
     ("PotentialParams", "positive", "theta_l", lambda v, _: PotentialParams(1.0, 1.0, v)),
     ("generate_scene", "positive", "pairwise_weight", lambda v, _: _scene(pairwise_weight=v)),
+    ("generate_scene", "fraction", "noise", lambda v, _: _scene(noise=v)),
+    ("lbp_map", "fraction", "damping", lambda v, _: lbp_map(*_PAIR, damping=v)),
+    (
+        "constraint_prefix",
+        "fraction",
+        "constraint fraction",
+        lambda v, _: constraint_prefix([(0, 1)], v, 0),
+    ),
     # these take the array the test builds, np.full(2, value) or [0, 1]
     # in a valid dtype; edges reshape it to one pair
     ("CrfGraph", "array", "edges", lambda a, _: CrfGraph(3, 2, a.reshape(1, 2))),
@@ -284,6 +297,12 @@ BOUNDARIES = [
     ("NodeProjection", "array", "node indices", lambda a, _: NodeProjection(a)),
     ("ConstraintSets", "array", "constraint set node", lambda a, _: ConstraintSets([list(a)])),
     ("expansion_operator", "array", "supernode indices", lambda a, _: expansion_operator(a, 2)),
+    (
+        "tile_constraint_candidates",
+        "array",
+        "true_labels",
+        lambda a, _: tile_constraint_candidates(a, 2, 1),
+    ),
     # these take a list [0.0, value] or np.full(2, value) of bad values,
     # or the array [0, 1] in a valid dtype, as one row of K = 2 entries
     ("Potentials", "floats", "unary", lambda v, _: Potentials(_rows(v, 1))),
@@ -296,6 +315,13 @@ BOUNDARIES = [
     ("Potentials", "floats", "potts", lambda v, _: Potentials(np.zeros((2, 2)), potts=_rows(v, 1))),
     ("pairwise_potential", "floats", "dissimilarity", lambda v, _: pairwise_potential(v, 2)),
     ("check_marginals", "floats", "marginals", lambda v, _: check_marginals(_rows(v, 1), 1, 2)),
+    ("extract_labeling", "floats", "marginals", lambda v, _: extract_labeling(_rows(v, 1))),
+    (
+        "bhattacharyya_distance",
+        "floats",
+        "histograms",
+        lambda v, _: bhattacharyya_distance(v, [1.0, 1.0]),
+    ),
     (
         "euclidean_cluster",
         "floats",
@@ -314,12 +340,14 @@ BOUNDARIES = [
 _BAD = {
     "count": (True, np.True_, 2.5, np.float64(3.0), "3", np.nan, np.inf, 0, -1),
     "positive": (True, np.True_, "3", np.nan, np.inf, -np.inf, 0.0, -1.0, None),
+    "fraction": (True, np.True_, "0.5", None, np.nan, np.inf, -0.5, 1.5),
     "array": (True, 2.5, "3", np.nan, np.inf),
     "floats": (True, np.True_, "0.5", None),
 }
 _GOOD = {
     "count": (3, np.int64(3), np.int32(3), np.uint8(3)),
     "positive": (2.5, 1, np.float32(0.5), np.float64(0.5), np.int64(2)),
+    "fraction": (0, 0.5, np.float32(0.25), np.float64(0.5), np.int64(0)),
     # dtypes of the array [0, 1]
     "array": (int, np.int64, np.int32, np.uint8, float, np.float32),
     "floats": (int, np.int64, np.uint8, float, np.float32, np.float64),
@@ -340,9 +368,9 @@ def _bad_forms(kind, value):
 )
 def test_every_boundary_applies_its_rule(kind, field, call, tmp_path):
     """One rule per kind of input, the same at every boundary: a count
-    is an integer, a positive number a finite real above 0, and an
-    integer array holds integers or integral floats, and a float array
-    numbers.  Bools are none of them; numpy scalars and dtypes pass like
+    is an integer, a positive number a finite real above 0, a fraction
+    a real in [0, 1], an integer array holds integers or integral
+    floats, and a float array numbers.  Bools are none of them; numpy scalars and dtypes pass like
     their Python forms."""
     for value in _BAD[kind]:
         for form in _bad_forms(kind, value):

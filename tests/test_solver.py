@@ -2,6 +2,7 @@
 iterates with), the multiplicative update, and the full solve loops."""
 
 import hashlib
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -421,20 +422,24 @@ def test_potts_is_decided_from_the_raw_blocks():
     # and cannot round a moved entry back.  0.25 + ulp and 0.75 + ulp
     # have odd last bits, so the half-ulp tie of an entry moved by one
     # ulp plus its unmoved transpose rounds away from the unmoved sum.
-    k, floor = 3, 1e-9
-    eye = np.eye(k, dtype=bool)
+    # A negated entry of a zero block is -0.0, equal to 0.0 as a float.
+    floor = 1e-9
     d, o = np.nextafter(0.75, 1.0), np.nextafter(0.25, 1.0)
-    pairwise = np.stack([np.full((k, k), floor), np.where(eye, d, o)])
-    unary = np.ones((3, k))
-    unary[0, 0] = floor
-    terms = _decoder_terms(Potentials(unary, pairwise))
-    assert terms.offset == 0.0 and terms.sums is None
-    assert terms.potts.tolist() == [[2 * floor, 2 * floor], [2 * d, 2 * o]]
-    for p in range(k):
-        for q in range(k):
-            for direction in (-np.inf, np.inf):
-                moved = pairwise.copy()
-                moved[1, p, q] = np.nextafter(moved[1, p, q], direction)
+    moves = (lambda x: np.nextafter(x, -np.inf), lambda x: np.nextafter(x, np.inf), np.negative)
+    for k in (2, 3, 7):
+        eye = np.eye(k, dtype=bool)
+        pairwise = np.stack([np.full((k, k), floor), np.where(eye, d, o)])
+        zero = np.zeros((2, k, k))
+        unary = np.ones((3, k))
+        unary[0, 0] = floor
+        terms = _decoder_terms(Potentials(unary, pairwise))
+        assert terms.offset == 0.0 and terms.sums is None
+        assert terms.potts.tolist() == [[2 * floor, 2 * floor], [2 * d, 2 * o]]
+        assert Potentials(unary, zero).potts.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        for p, q in np.ndindex(k, k):
+            for move, blocks in itertools.product(moves, (pairwise, zero)):
+                moved = blocks.copy()
+                moved[1, p, q] = move(moved[1, p, q])
                 assert _potts_weights(moved) is None
                 terms = _decoder_terms(Potentials(unary, moved))
                 assert terms.potts is None and terms.sums.shape == (2, k, k)
