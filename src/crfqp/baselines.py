@@ -14,6 +14,7 @@ from .core import (
     _check_count,
     _check_dims,
     _check_fraction,
+    _potts_blocks,
     extract_labeling,
     objective_of_labeling,
 )
@@ -88,38 +89,29 @@ def _add_messages(beliefs, messages, tgt):
         np.add.at(row, tgt, incoming)
 
 
-def _potts_messages(same, differ):
-    """Max-product update for Potts edges in O(K) per message:
-    new[q] = max(base[q] + same, max_{p != q} base[p] + differ),
-    written over `base`.
+def _dense_messages(psi_dir):
+    """Max-product update for general edges: new[q] = max_p base[p] +
+    psi_dir[p, q], with psi_dir (K, K, 2E) indexed (x_src, x_tgt, d),
+    written over `base`."""
+    return lambda base: np.max(base[:, None, :] + psi_dir, axis=0, out=base)
+
+
+def _potts_messages(same, differ, num_labels):
+    """Max-product update for Potts edges in O(K) per message on
+    attractive columns (same >= differ), written over `base`:
+    new[q] = max(base[q] + same, top + differ), with `top` the column
+    maximum.
 
     Rounding is monotone, so max_p fl(base[p] + c) equals
-    fl(max_p base[p] + c) exactly, and the result matches the dense
-    K x K maximisation bit for bit.  The exclusion of p = q matters only
-    on a row holding the column maximum `top`, where the exact term is
-    fl(second + differ) with `second` the runner-up (with multiplicity).
-    On a column with same >= differ that term never wins there:
-    fl(top + same) >= fl(top + differ) >= fl(second + differ), so
-    new = max(base + same, top + differ) exactly.  Only columns with
-    same < differ (repulsive edges) keep the running top two."""
+    fl(max_p base[p] + c) exactly.  The dense K x K maximisation
+    excludes p = q from the differ term, which matters only on a row
+    holding `top`; there fl(top + same) >= fl(top + differ) already
+    wins, so the result matches the dense update bit for bit.
+    Repulsive columns (same < differ) take the dense update itself."""
     repulsive = np.flatnonzero(same < differ)
-    same_r, differ_r = same[repulsive], differ[repulsive]
+    pairs = np.stack([same[repulsive], differ[repulsive]], axis=1)
+    exact = _dense_messages(_potts_blocks(pairs, num_labels).transpose(1, 2, 0))
     top = np.empty_like(same)
-
-    def exact(base):
-        # running top two of each column, with multiplicity
-        first = base[0].copy()
-        second = np.full_like(first, -np.inf)
-        low = np.empty_like(first)
-        for row in base[1:]:
-            np.minimum(first, row, out=low)
-            np.maximum(second, low, out=second)
-            np.maximum(first, row, out=first)
-        hit = base == first
-        second += differ_r
-        first += differ_r
-        base += same_r
-        return np.maximum(base, np.where(hit, second, first), out=base)
 
     def update(base):
         if repulsive.size:
@@ -132,13 +124,6 @@ def _potts_messages(same, differ):
         return base
 
     return update
-
-
-def _dense_messages(psi_dir):
-    """Max-product update for general edges: new[q] = max_p base[p] +
-    psi_dir[p, q], with psi_dir (K, K, 2E) indexed (x_src, x_tgt, d),
-    written over `base`."""
-    return lambda base: np.max(base[:, None, :] + psi_dir, axis=0, out=base)
 
 
 # Most iterations for which halving stays exact (see `_halving_is_exact`).
@@ -186,12 +171,13 @@ def lbp_map(graph, potentials, max_iters=200, damping=0.5):
     messages.  The best labeling seen (by objective value) is returned,
     so non-convergence still yields a usable answer.
 
-    On Potts graphs, as in `solve` (`Potentials.potts`), messages cost
-    O(K) instead of O(K^2);
+    On Potts graphs, as in `solve` (`Potentials.potts`), messages on
+    attractive edges (diagonal >= off-diagonal) cost O(K) instead of
+    O(K^2), and repulsive edges take the dense update on their columns;
     labelings, traces and iteration counts are bitwise those of the
     dense update, which every other graph uses.  The floor shift and
     psi + psi^T then act on the per-edge (diagonal, off-diagonal)
-    weights, so no K x K block is copied.
+    weights, so no K x K block is copied but those of repulsive edges.
 
     Each iteration gathers beliefs at the message sources once, takes
     the reverse messages as the two swapped halves of the message array
@@ -253,7 +239,7 @@ def lbp_map(graph, potentials, max_iters=200, damping=0.5):
     tgt = np.concatenate([ea[:, 1], ea[:, 0]])
     if terms.potts is not None:
         same, differ = np.tile(terms.potts.T, 2)
-        message = _potts_messages(same, differ)
+        message = _potts_messages(same, differ, k)
     else:
         # the sums are bitwise symmetric: both directions share a block
         message = _dense_messages(np.tile(terms.sums.transpose(1, 2, 0), 2))

@@ -312,4 +312,7 @@ def extract_labeling(marginals):
     mu = _as_floats(marginals, "marginals must hold numbers, got {!r}")
     if mu.ndim != 2:
         raise ValueError(f"marginals must be 2-D, got shape {mu.shape}")
+    # min and max propagate NaN, and NaN fails both comparisons
+    if not (-np.inf < mu.min(initial=0.0) and mu.max(initial=0.0) < np.inf):
+        raise ValueError("marginals must be finite")
     return np.argmax(mu, axis=1).astype(np.int64)

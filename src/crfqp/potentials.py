@@ -130,12 +130,19 @@ def bhattacharyya_distance(a, b):
     with N the bin count.  The radicand is clamped to [0, 1]: the printed
     normalization can leave it slightly outside for some histograms, and
     in general D is not 0 for identical histograms.  Disjoint supports
-    give exactly 1.
+    give exactly 1.  Both histograms must be finite and nonnegative, with
+    positive sums.
     """
     a = _as_floats(a, "histograms must hold numbers, got {!r}")
     b = _as_floats(b, "histograms must hold numbers, got {!r}")
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError(f"histograms must share one shape, got {a.shape}, {b.shape}")
+    # min and max propagate NaN, so these scalars settle every bound
+    ends = (a.min(initial=0.0), a.max(initial=0.0), b.min(initial=0.0), b.max(initial=0.0))
+    if not np.isfinite(ends).all():
+        raise ValueError("histogram must be finite")
+    if min(ends) < 0.0:
+        raise ValueError("histogram must be nonnegative and not all zero")
     if a.sum() <= 0 or b.sum() <= 0:
         raise ValueError("histograms must have positive sums")
     return float(_bhattacharyya_rows(a[None], b[None])[0])

@@ -283,18 +283,13 @@ def tile_constraint_candidates(true_labels, width, height):
     true_labels = _as_integers(true_labels, "true_labels must be integers, got {!r}")
     if true_labels.shape != (width * height,):
         raise ValueError("true_labels length must equal width * height")
-    candidates = []
-    for rb in range(0, height, _TILE):
-        for cb in range(0, width, _TILE):
-            nodes = [
-                r * width + c
-                for r in range(rb, min(rb + _TILE, height))
-                for c in range(cb, min(cb + _TILE, width))
-            ]
-            groups = {}
-            for node in nodes:
-                groups.setdefault(int(true_labels[node]), []).append(node)
-            for label in sorted(groups):
-                if len(groups[label]) >= 2:
-                    candidates.append(tuple(groups[label]))
-    return candidates
+    # sort the nodes by (tile, label); a stable sort keeps each group's
+    # nodes in row-major order, and tiles come row-major too
+    rows, cols = np.divmod(np.arange(width * height), width)
+    tile = rows // _TILE * -(-width // _TILE) + cols // _TILE
+    order = np.lexsort((true_labels, tile))
+    tile, labels = tile[order], true_labels[order]
+    cuts = np.flatnonzero((tile[1:] != tile[:-1]) | (labels[1:] != labels[:-1])) + 1
+    bounds = np.concatenate([[0], cuts, [order.size]]).tolist()
+    nodes = order.tolist()
+    return [tuple(nodes[a:b]) for a, b in zip(bounds, bounds[1:]) if b - a >= 2]

@@ -373,7 +373,9 @@ def dense_lbp(graph, potentials, max_iters=200, damping=0.5, changes=None):
         messages = new
         iterations = it
 
-        labeling = extract_labeling(beliefs)
+        # argmax as `lbp_map` decodes: near overflow a belief can sum to
+        # -inf, which `extract_labeling` rejects as marginals
+        labeling = np.argmax(beliefs, axis=1)
         value = objective_of_labeling(graph, potentials, labeling)
         trace.append(value)
         if value > best_value:
@@ -385,7 +387,7 @@ def dense_lbp(graph, potentials, max_iters=200, damping=0.5, changes=None):
 
     beliefs = unary.copy()
     np.add.at(beliefs, tgt, messages)
-    labeling = extract_labeling(beliefs)
+    labeling = np.argmax(beliefs, axis=1)
     value = objective_of_labeling(graph, potentials, labeling)
     trace.append(value)
     if value > best_value:

@@ -121,6 +121,13 @@ def test_extract_labeling_argmax_and_ties():
     assert extract_labeling([[0.1, 0.8, 0.1], [0.7, 0.2, 0.1]]).tolist() == [1, 0]
 
 
+@pytest.mark.parametrize("row", [[np.nan, 1.0], [1.0, np.inf], [0.0, -np.inf]])
+def test_extract_labeling_rejects_non_finite_marginals(row):
+    # argmax would decode these rows, which check_marginals rejects
+    with pytest.raises(ValueError, match="marginals must be finite"):
+        extract_labeling([[0.5, 0.5], row])
+
+
 def test_graph_rejects_bad_edges():
     with pytest.raises(ValueError, match="self-loop"):
         CrfGraph(3, 2, [(1, 1)])

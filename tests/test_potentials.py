@@ -77,6 +77,23 @@ def test_histogram_distance_validation():
         bhattacharyya_distance([1.0, 1.0], [1.0, 1.0, 1.0])
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([np.nan, 1.0], "histogram must be finite"),
+        ([np.inf, 1.0], "histogram must be finite"),
+        ([-np.inf, 1.0], "histogram must be finite"),
+        ([-1.0, 2.0], "histogram must be nonnegative and not all zero"),
+    ],
+)
+def test_histogram_distance_rejects_what_node_features_rejects(bad, message):
+    for a, b in ((bad, [1.0, 1.0]), ([1.0, 1.0], bad)):
+        with pytest.raises(ValueError, match=message):
+            bhattacharyya_distance(a, b)
+        with pytest.raises(ValueError, match=message):
+            NodeFeatures([[0.0, 0.0]] * 2, [[0.5, 0.5, 0.5]] * 2, [a, b])
+
+
 def test_edges_require_strictly_closer_than_threshold():
     pair = [(0.0, 0.0), (1.0, 0.0)]
     assert build_edges(pair, 1.0).tolist() == []

@@ -518,8 +518,15 @@ def test_potts_set_up_copies_no_block():
     mu = np.full((graph.num_nodes, 7), 1.0 / 7.0)
     # peak traced bytes, in units of the (E, K, K) pairwise array
     block_bytes = graph.num_edges * 7 * 7 * 8
+    # a seeded 1 % of edges made repulsive by swapping their weights:
+    # LBP builds K x K blocks for those columns only
+    weights = scene.potentials.potts.copy()
+    swap = np.random.default_rng(0).choice(len(weights), len(weights) // 100, replace=False)
+    weights[swap] = weights[swap, ::-1]
+    assert (weights[:, 0] < weights[:, 1]).any()
+    repulsive = Potentials(scene.potentials.unary, potts=weights)
     # stored Potts weights, and the blocks they stand for
-    for pot in (scene.potentials, block_twin(scene.potentials)):
+    for pot in (scene.potentials, block_twin(scene.potentials), repulsive):
         runs = (
             (lambda: solve(graph, pot, SolverConfig(max_iterations=5)), 1),
             (lambda: compute_gradient(graph, pot, mu), 1),

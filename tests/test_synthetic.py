@@ -145,6 +145,27 @@ def test_tile_candidates_partition_tiles_by_label():
         tile_constraint_candidates(scene.true_labels[:-1], scene.width, scene.height)
 
 
+def test_tile_candidates_order_on_a_ragged_grid():
+    # 6 x 5 grid: 4 x 4 tiles, the last tile column 2 wide and the last
+    # tile row 1 high; candidates come tile by tile in row-major order,
+    # by label within a tile, and nodes in row-major order
+    true_labels = [
+        [0, 0, 1, 1, 2, 2],
+        [0, 1, 1, 0, 2, 0],
+        [2, 2, 0, 0, 1, 1],
+        [2, 0, 0, 1, 1, 1],
+        [1, 1, 0, 2, 2, 0],
+    ]
+    assert tile_constraint_candidates(np.ravel(true_labels), 6, 5) == [
+        (0, 1, 6, 9, 14, 15, 19, 20),
+        (2, 3, 7, 8, 21),
+        (12, 13, 18),
+        (16, 17, 22, 23),
+        (4, 5, 10),
+        (24, 25),
+    ]
+
+
 def test_evaluate_scene_runs_all_methods():
     scene = small_scene(noise=0.4)
     sets = ConstraintSets(

@@ -24,7 +24,10 @@ Inputs:
   (400 nodes, K = 5, dense asymmetric blocks);
 - hand-made blocks for the Potts decision: Potts blocks for K = 2..7
   holding zeros, each entry moved by one ulp either way or negated
-  (so +0.0 becomes -0.0), in C, Fortran and transposed layouts.
+  (so +0.0 becomes -0.0), in C, Fortran and transposed layouts;
+- repulsive Potts edges: scene-sweep recipe scenes, seeds 0-2, with
+  the (diagonal, off-diagonal) weights of a seeded 1 %, 20 % or 100 %
+  of edges swapped, for ``lbp_map`` records at its defaults only.
 
 ``perfbench/workloads.py`` builds the large-grid scenes and the
 problem-files pool and sets the benchmark's budgets; this tool only
@@ -139,6 +142,21 @@ def _tap_belief_sums(sink):
     return lambda: setattr(baselines, "_add_messages", original)
 
 
+def digest_lbp(rec, name, graph, potentials, lbp_iters):
+    """Add the `lbp_map` records of one run; `lbp_iters` is its
+    iteration cap, None for the default."""
+    sums = hashlib.sha256()
+    undo = _tap_belief_sums(sums)
+    try:
+        cap = {} if lbp_iters is None else {"max_iters": lbp_iters}
+        labels, report = baselines.lbp_map(graph, potentials, **cap)
+    finally:
+        undo()
+    rec.add(f"{name}/labels", labels)
+    rec.add(f"{name}/report", *_report(report))
+    rec.add(f"{name}/belief-sums", sums.digest())
+
+
 def digest_input(rec, workdir, name, graph, potentials, sets, features, budget, lbp_budget):
     """Add the records of one input; `budget` is its solver budget and
     `lbp_budget` its LBP iteration cap, None for `lbp_map`'s default."""
@@ -167,16 +185,7 @@ def digest_input(rec, workdir, name, graph, potentials, sets, features, budget, 
         rec.add(f"{name}/cqp/{label}/marginals", mu)
         rec.add(f"{name}/cqp/{label}/labels", labels)
         rec.add(f"{name}/cqp/{label}/report", *_report(report))
-        sums = hashlib.sha256()
-        undo = _tap_belief_sums(sums)
-        try:
-            cap = {} if lbp_iters is None else {"max_iters": lbp_iters}
-            labels, report = baselines.lbp_map(graph, potentials, **cap)
-        finally:
-            undo()
-        rec.add(f"{name}/lbp/{label}/labels", labels)
-        rec.add(f"{name}/lbp/{label}/report", *_report(report))
-        rec.add(f"{name}/lbp/{label}/belief-sums", sums.digest())
+        digest_lbp(rec, f"{name}/lbp/{label}", graph, potentials, lbp_iters)
     path = os.path.join(workdir, "problem.json")
     save_problem(ProblemFile(graph, potentials, sets, features), path)
     rec.add(f"{name}/save", Path(path).read_bytes())
@@ -202,6 +211,22 @@ def digest_potts_decision(rec):
                 for layout in (moved, np.asfortranarray(moved), moved.transpose(0, 2, 1)):
                     decided.append(Potentials(np.zeros((1, k)), layout).potts)
         rec.add(f"potts-decision/K={k}", Potentials(np.zeros((1, k)), blocks).potts, decided)
+
+
+def digest_repulsive_lbp(rec):
+    """`lbp_map` records at the defaults for scene-sweep recipe scenes
+    with the Potts weight pairs of a seeded share of edges swapped,
+    which makes those edges repulsive."""
+    for seed in range(3):
+        s = generate_scene(40, 40, 6, 7, noise=0.6, seed=seed)
+        weights = s.potentials.potts
+        for percent in (1, 20, 100):
+            count = len(weights) * percent // 100
+            swap = np.random.default_rng(seed).choice(len(weights), count, replace=False)
+            swapped = weights.copy()
+            swapped[swap] = swapped[swap, ::-1]
+            pot = Potentials(s.potentials.unary, potts=swapped)
+            digest_lbp(rec, f"repulsive/{seed}/{percent}%/lbp", s.graph, pot, None)
 
 
 def _inputs(workdir):
@@ -231,6 +256,7 @@ def build(rec):
     with tempfile.TemporaryDirectory() as workdir:
         for args in _inputs(workdir):
             digest_input(rec, workdir, *args)
+    digest_repulsive_lbp(rec)
 
 
 def combined(records):
