@@ -9,7 +9,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .core import _check_fraction
+from .core import _check_count, _check_fraction
 from .evaluate import decode
 from .reduction import ConstraintSets
 from .solver import SolverConfig
@@ -51,6 +51,7 @@ def constraint_prefix(candidates, fraction, seed):
     calls with the same seed and growing fractions select nested subsets
     and coverage grows monotonically."""
     _check_fraction("constraint fraction", fraction)
+    seed = _check_count("seed", seed, 0)
     order = np.random.default_rng(seed).permutation(len(candidates))
     count = int(round(fraction * len(candidates)))
     return ConstraintSets([candidates[i] for i in order[:count]])
@@ -114,6 +115,7 @@ def run_benchmark(
     solver converges under its iteration cap at every size while still
     leaving slow conflicted rows for constraints to absorb.
     """
+    seed = _check_count("seed", seed, 0)
     config = config or SolverConfig()
     rows = []
     for size_index, size in enumerate(sizes):

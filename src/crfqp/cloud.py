@@ -44,6 +44,7 @@ class CloudParams:
     def __post_init__(self):
         _check_count("CloudParams.ransac_iterations", self.ransac_iterations)
         _check_count("CloudParams.min_cluster_size", self.min_cluster_size)
+        _check_count("CloudParams.rng_seed", self.rng_seed, 0)
         _check_positive("CloudParams.plane_inlier_threshold", self.plane_inlier_threshold)
         _check_positive("CloudParams.cluster_radius", self.cluster_radius)
 

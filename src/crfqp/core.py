@@ -26,8 +26,9 @@ _BOOLS = frozenset((bool, np.bool_))
 def _check_count(name, value, least=1, unit=""):
     """`value` as an int; ValueError naming `name` unless an integer >= `least`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        kind = "positive" if least > 0 else "non-negative"
         minimum = f" (at least {least} {unit})" if unit else ""
-        raise ValueError(f"{name} must be a positive integer{minimum}, got {value!r}")
+        raise ValueError(f"{name} must be a {kind} integer{minimum}, got {value!r}")
     return int(value)
 
 

@@ -16,19 +16,39 @@ from .core import _as_floats, _as_integers, _check_positive, _potts_blocks
 
 __all__ = ["bhattacharyya_distance"]
 
+_TINY, _MAX = np.finfo(np.float64).tiny, np.finfo(np.float64).max
 
-def _first_bad_row(centroids, mean_colors, histograms):
+
+def _sums_in_range(low, high, bins):
+    """Whether nonnegative histogram sums from `low` to `high` lie in
+    [sqrt(tiny), sqrt(max) / B] for B `bins`: where s * s and
+    s * s * B * B, tested as computed here, are normal float64s.  The
+    distance forms sa * sb * B * B for two such sums; rounding is
+    monotone, so each of its products lies between those of sa and of
+    sb, and neither overflows nor underflows."""
+    with np.errstate(over="ignore"):
+        return (low * low >= _TINY) & (high * high * bins * bins <= _MAX)
+
+
+def _sum_range(bins):
+    """The message for a histogram sum outside `_sums_in_range`."""
+    return f"histogram sum must lie in [{np.sqrt(_TINY):.3g}, {np.sqrt(_MAX) / bins:.3g}]"
+
+
+def _first_bad_row(centroids, mean_colors, histograms, sums):
     """The first node whose row breaks a `NodeFeatures` bound, and its
-    first fault in column order."""
+    first fault in column order; `sums` are the histogram row sums."""
     in_unit = (mean_colors >= 0.0) & (mean_colors <= 1.0)
+    bins = histograms.shape[1]
     messages, masks = zip(
         ("centroid must be finite", ~np.isfinite(centroids).all(axis=1)),
         ("mean color must lie in [0, 1]", ~in_unit.all(axis=1)),
         ("histogram must be finite", ~np.isfinite(histograms).all(axis=1)),
         (
             "histogram must be nonnegative and not all zero",
-            (histograms < 0).any(axis=1) | (histograms.sum(axis=1) <= 0),
+            (histograms < 0).any(axis=1) | (sums <= 0),
         ),
+        (_sum_range(bins), ~_sums_in_range(sums, sums, bins)),
     )
     faults = np.stack(masks)
     node = np.flatnonzero(faults.any(axis=0))[0]
@@ -39,9 +59,10 @@ def _first_bad_row(centroids, mean_colors, histograms):
 class NodeFeatures:
     """Per-node descriptors as one table of read-only float64 copies:
     finite `centroids` (N, 2), `mean_colors` (N, 3) in [0, 1]^3 and
-    finite `histograms` (N, B), each row nonnegative and not all zero.
-    Row i describes node i; N and B are at least 1.  A row that breaks
-    these is reported as `features[i]: ...`, first bad row first."""
+    finite `histograms` (N, B), each row nonnegative with its sum in
+    [sqrt(tiny), sqrt(max) / B] (`bhattacharyya_distance`).  Row i
+    describes node i; N and B are at least 1.  A row that breaks these
+    is reported as `features[i]: ...`, first bad row first."""
 
     centroids: np.ndarray
     mean_colors: np.ndarray
@@ -73,14 +94,15 @@ class NodeFeatures:
         # without a per-entry mask; only a failing table is searched row
         # by row for the node to name
         ends = (centroids.min(), centroids.max(), histograms.max())
+        sums = histograms.sum(axis=1)
         if not (
             np.isfinite(ends).all()
             and 0.0 <= mean_colors.min()
             and mean_colors.max() <= 1.0
             and histograms.min() >= 0.0
-            and (histograms.sum(axis=1) > 0.0).all()
+            and _sums_in_range(sums.min(), sums.max(), histograms.shape[1])
         ):
-            node, message = _first_bad_row(centroids, mean_colors, histograms)
+            node, message = _first_bad_row(centroids, mean_colors, histograms, sums)
             raise ValueError(f"features[{node}]: {message}")
         for column in (centroids, mean_colors, histograms):
             column.flags.writeable = False
@@ -131,7 +153,10 @@ def bhattacharyya_distance(a, b):
     normalization can leave it slightly outside for some histograms, and
     in general D is not 0 for identical histograms.  Disjoint supports
     give exactly 1.  Both histograms must be finite and nonnegative, with
-    positive sums.
+    sums s in [sqrt(tiny), sqrt(max) / N], about [1.49e-154,
+    1.34e154 / N]: there s * s and s * s * N^2 are normal float64s, so
+    the normalizer neither overflows to inf nor underflows to 0, and
+    no distance is NaN.
     """
     a = _as_floats(a, "histograms must hold numbers, got {!r}")
     b = _as_floats(b, "histograms must hold numbers, got {!r}")
@@ -143,8 +168,11 @@ def bhattacharyya_distance(a, b):
         raise ValueError("histogram must be finite")
     if min(ends) < 0.0:
         raise ValueError("histogram must be nonnegative and not all zero")
-    if a.sum() <= 0 or b.sum() <= 0:
+    sums = (a.sum(), b.sum())
+    if min(sums) <= 0:
         raise ValueError("histograms must have positive sums")
+    if not _sums_in_range(min(sums), max(sums), a.size):
+        raise ValueError(_sum_range(a.size))
     return float(_bhattacharyya_rows(a[None], b[None])[0])
 
 

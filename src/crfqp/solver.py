@@ -344,28 +344,31 @@ class _StopTest:
     is the whole change.  Probing ends for good at the first iteration
     that needs more: a probe below `tol`, the last iteration, or a
     non-finite objective value.  Then and on every later iteration the
-    caller's full scan runs, raising the decoder's `SolverFailure` on a
-    non-finite step.  A probe checks nothing, so a decoder probes only
-    steps it has proved finite.  Every outcome is that of a full scan
-    at every step."""
+    full scan runs, and a non-finite change raises `SolverFailure`
+    naming `what` ("marginals" or "messages").  A probe checks nothing,
+    so a decoder probes only steps it has proved finite.  Every outcome
+    is that of a full scan at every step."""
 
-    def __init__(self, tol, cap, head=None):
-        self.tol, self.cap, self.head = tol, cap, head
+    def __init__(self, what, tol, cap, head=None):
+        self.what, self.tol, self.cap, self.head = what, tol, cap, head
         # index of the block `head` holds; None once probing has ended
         self.lead = None if head is None else tuple(map(slice, head.shape))
         self.trace, self.iterations, self.converged = [], 0, False
 
-    def settled(self, it, value, new, old, scan):
+    def settled(self, it, value, new, old, out):
         """Record iteration `it`, from `old` to `new`, and its objective
-        `value`; return whether it converged.  scan(new, old, it)
-        returns the change over the whole arrays."""
+        `value`; return whether it converged.  A full scan leaves
+        new - old in `out`, which may be `old` itself."""
         self.trace.append(value)
         self.iterations, lead = it, self.lead
         if lead is not None and it < self.cap and -np.inf < value < np.inf:
             if _max_change(new[lead], old[lead], self.head) >= self.tol:
                 return False
         self.lead = None
-        self.converged = scan(new, old, it) < self.tol
+        change = _max_change(new, old, out)
+        if not change < np.inf:
+            raise SolverFailure(f"non-finite {self.what} at iteration {it}")
+        self.converged = change < self.tol
         return self.converged
 
     def report(self, final_objective=None):
@@ -412,16 +415,17 @@ def solve(graph, potentials, config=None, callback=None):
     written over it: rows are summed into one buffer per solve and
     divided by one same-shape divide.  The stop test probes the leading
     `_PROBE` entries of the flattened iterate while the trace value is
-    finite; its full scan tests the iterate for finiteness only when
-    the change is not finite.  A probed iterate needs no such test:
-    with mu finite and q finite and >= 0, every entry of mu * q is >= 0
-    and at most its row's normalizer, so a quotient can exceed 1 only
-    as inf / inf, which is NaN, and a NaN in the new iterate a makes
-    b . a NaN (b is finite); a finite trace value proves the iterate
-    finite.  Every
-    iterate is a fresh array, the output of a fresh operator
-    application, so a callback may keep the marginals it is handed.
-    Entries that underflow to 0 stay 0 (module docstring).
+    finite, and its full scan fails on a non-finite change.  With mu
+    finite and q finite and >= 0, every entry of mu * q is >= 0 and at
+    most its row's normalizer, so a quotient can exceed 1 only as
+    inf / inf, which is NaN: a finite iterate's entries lie in [0, 1],
+    so two finite iterates never differ by an overflow, and a
+    non-finite change means a non-finite iterate.  A NaN in the new
+    iterate a makes b . a NaN (b is finite), so a finite trace value
+    proves the probed iterate finite.  Every iterate is a fresh array,
+    the output of a fresh operator application, so a callback may keep
+    the marginals it is handed; the difference goes to a buffer of its
+    own.  Entries that underflow to 0 stay 0 (module docstring).
 
     Returns
     -------
@@ -447,14 +451,8 @@ def solve(graph, potentials, config=None, callback=None):
 
     mu = _initial_marginals(b, config.init)
     change = np.empty(mu.size)
-    stop = _StopTest(config.tol, config.max_iterations, np.empty(min(_PROBE, mu.size)))
-
-    def scan(new, old, it):
-        delta = _max_change(new, old, change)
-        # finite iterates can differ by an overflow: fail on non-finite ones
-        if not delta < np.inf and not _finite(new):
-            raise SolverFailure(f"non-finite marginals at iteration {it}")
-        return delta
+    head = np.empty(min(_PROBE, mu.size))
+    stop = _StopTest("marginals", config.tol, config.max_iterations, head)
 
     def objective(a, qa):
         return float(b_flat @ a + 0.5 * (a @ qa.ravel())) - terms.offset
@@ -472,7 +470,7 @@ def solve(graph, potentials, config=None, callback=None):
         new_mu = _step(mu, qa, ones, norms, out=qa)
         new_a, qa = new_mu.ravel(), matvec(new_mu)
         value = objective(new_a, qa)
-        settled = stop.settled(it, value, new_a, a, scan)
+        settled = stop.settled(it, value, new_a, a, change)
         mu, a = new_mu, new_a
         if callback is not None:
             callback(it, mu)

@@ -175,7 +175,8 @@ def generate_scene(
     seed=0,
     pairwise_weight=0.2,
 ):
-    """Build a planted scene.  Deterministic given the arguments.
+    """Build a planted scene.  Deterministic given the arguments;
+    `seed` is a non-negative integer.
 
     `noise` in [0, 1] controls both feature corruption and the unary
     mix: each unary row is (1 - noise) * onehot(truth) + noise * u with
@@ -196,6 +197,7 @@ def generate_scene(
     num_labels = _check_count("num_labels", num_labels, 2, "labels")
     _check_fraction("noise", noise)
     _check_positive("pairwise_weight", pairwise_weight)
+    seed = _check_count("seed", seed, 0)
 
     rng = np.random.default_rng(seed)
     boxes = _place_boxes(rng, width, height, num_objects, num_labels)

@@ -1,7 +1,8 @@
 """The public surface: which names `crfqp` exports, where each one is
-defined, and that the benchmark's patch points still resolve and see
-every decoder call."""
+defined, that no module imports a name it never uses, and that the
+benchmark's patch points still resolve and see every decoder call."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -54,6 +55,7 @@ PUBLIC = {
     "synthetic": {"generate_scene"},
 }
 
+SRC = Path(__file__).resolve().parents[1] / "src" / "crfqp"
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -73,6 +75,38 @@ def test_each_public_name_is_defined_where_it_is_declared():
             obj = getattr(module, name)
             assert obj.__module__ == module.__name__, (module_name, name)
             assert getattr(crfqp, name) is obj
+
+
+def _unused_imports(source):
+    """The names `source` imports and never reads, as (line, name), but
+    for imports whose line carries `# noqa: F401`.  A name read only
+    through `__all__` counts as read; star imports bind no name here."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                marked = "# noqa: F401" in lines[alias.lineno - 1]
+                if alias.name != "*" and not marked:
+                    imported.append((alias.lineno, alias.asname or alias.name.split(".")[0]))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            strings = (n for n in ast.walk(node.value) if isinstance(n, ast.Constant))
+            read.update(n.value for n in strings if isinstance(n.value, str))
+    return [(line, name) for line, name in imported if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    source = "import os\nimport numpy as np\nfrom a import (\n    b,\n    c,  # noqa: F401\n)\nnp.b = b\n"
+    assert _unused_imports(source) == [(1, "os")]
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) == 13
+    unused = {path.name: _unused_imports(path.read_text(encoding="utf-8")) for path in modules}
+    assert {name: found for name, found in unused.items() if found} == {}
 
 
 def _load_spans():

@@ -22,7 +22,7 @@ from crfqp import (
     lbp_map,
     objective_of_labeling,
 )
-from crfqp.bench import constraint_prefix
+from crfqp.bench import constraint_prefix, run_benchmark
 from crfqp.cloud import euclidean_cluster
 from crfqp.core import check_labeling, check_marginals
 from crfqp.potentials import NodeFeatures, PotentialParams, pairwise_potential
@@ -277,6 +277,15 @@ BOUNDARIES = [
     ("eval", "count", "--labels", lambda v, tmp: _eval_labels(tmp, v)),
     ("expansion_operator", "count", "num_labels", lambda v, _: expansion_operator([0, 1], v)),
     ("compute_metrics", "count", "num_labels", lambda v, _: compute_metrics([0, 1], [0, 1], v)),
+    ("generate_scene", "seed", "seed", lambda v, _: _scene(seed=v)),
+    ("CloudParams", "seed", "rng_seed", lambda v, _: CloudParams(rng_seed=v)),
+    ("constraint_prefix", "seed", "seed", lambda v, _: constraint_prefix([(0, 1)], 0.5, v)),
+    (
+        "run_benchmark",
+        "seed",
+        "seed",
+        lambda v, _: run_benchmark([100], [0.5], seed=v, config=SolverConfig(max_iterations=1)),
+    ),
     ("SolverConfig", "positive", "tol", lambda v, _: SolverConfig(tol=v)),
     (
         "CloudParams",
@@ -346,6 +355,7 @@ BOUNDARIES = [
 # Python and numpy forms of the same value, a string, and non-finite floats
 _BAD = {
     "count": (True, np.True_, 2.5, np.float64(3.0), "3", np.nan, np.inf, 0, -1),
+    "seed": (True, np.True_, 2.5, np.float64(3.0), "3", None, np.nan, np.inf, -1),
     "positive": (True, np.True_, "3", np.nan, np.inf, -np.inf, 0.0, -1.0, None),
     "fraction": (True, np.True_, "0.5", None, np.nan, np.inf, -0.5, 1.5),
     "array": (True, 2.5, "3", np.nan, np.inf),
@@ -353,6 +363,7 @@ _BAD = {
 }
 _GOOD = {
     "count": (3, np.int64(3), np.int32(3), np.uint8(3)),
+    "seed": (0, 3, np.int64(0), np.uint8(3)),
     "positive": (2.5, 1, np.float32(0.5), np.float64(0.5), np.int64(2)),
     "fraction": (0, 0.5, np.float32(0.25), np.float64(0.5), np.int64(0)),
     # dtypes of the array [0, 1]
@@ -375,10 +386,11 @@ def _bad_forms(kind, value):
 )
 def test_every_boundary_applies_its_rule(kind, field, call, tmp_path):
     """One rule per kind of input, the same at every boundary: a count
-    is an integer, a positive number a finite real above 0, a fraction
-    a real in [0, 1], an integer array holds integers or integral
-    floats, and a float array numbers.  Bools are none of them; numpy scalars and dtypes pass like
-    their Python forms."""
+    is an integer, a seed an integer of at least 0, a positive number a
+    finite real above 0, a fraction a real in [0, 1], an integer array
+    holds integers or integral floats, and a float array numbers.  Bools
+    are none of them; numpy scalars and dtypes pass like their Python
+    forms."""
     for value in _BAD[kind]:
         for form in _bad_forms(kind, value):
             with pytest.raises(ValueError, match=field):
@@ -404,6 +416,15 @@ CORRUPTED = {
     "bool-tol": ("tol must be positive", lambda: SolverConfig(tol=True)),
     "infinite-tol": ("tol must be positive", lambda: SolverConfig(tol=np.inf)),
     "fractional-width": ("width", lambda: generate_scene(width=4.5)),
+    # a None seed drew a new scene on each call, and True ran as seed 1
+    "none-seed": (
+        "seed must be a non-negative integer, got None",
+        lambda: generate_scene(seed=None),
+    ),
+    "bool-rng-seed": (
+        "CloudParams.rng_seed must be a non-negative integer, got True",
+        lambda: CloudParams(rng_seed=True),
+    ),
     "bool-labeling": (
         "labels must be integers, got True",
         lambda: check_labeling(np.array([True, False]), 2, 2),

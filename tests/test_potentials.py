@@ -94,6 +94,41 @@ def test_histogram_distance_rejects_what_node_features_rejects(bad, message):
             NodeFeatures([[0.0, 0.0]] * 2, [[0.5, 0.5, 0.5]] * 2, [a, b])
 
 
+def test_histogram_sums_outside_the_computable_range_fail_at_the_boundary():
+    # the normalizer sum(a) * sum(b) * B^2 overflowed at sum 1e200 and
+    # underflowed to 0 at sum 2e-300, so edge_dissimilarities read NaN
+    for hist in ([1e200, 1.0], [1e-300, 1e-300]):
+        with pytest.raises(ValueError, match="^histogram sum must lie in"):
+            bhattacharyya_distance(hist, hist)
+        with pytest.raises(ValueError, match=r"^features\[1\]: histogram sum must lie in"):
+            NodeFeatures([(0.0, 0.0)] * 2, [(0.5, 0.5, 0.5)] * 2, [(1.0, 1.0), hist])
+
+    def spike(total, bins):
+        hist = np.zeros(bins)
+        hist[0] = total
+        return hist
+
+    def accepted(total, bins):
+        try:
+            bhattacharyya_distance(spike(total, bins), spike(total, bins))
+        except ValueError:
+            return False
+        return True
+
+    # the range is [sqrt(tiny), sqrt(max) / B], to the ulp, and every
+    # distance between sums at its ends or inside it is a number
+    for bins in (1, 2, 7):
+        low = 2.0**-511
+        high = math.sqrt(np.finfo(np.float64).max) / bins
+        high = next(h for h in (high, np.nextafter(high, 0.0)) if accepted(h, bins))
+        assert accepted(low, bins) and not accepted(np.nextafter(low, 0.0), bins)
+        assert not accepted(np.nextafter(high, np.inf), bins)
+        hists = [spike(low, bins), spike(high, bins), np.ones(bins)]
+        table = NodeFeatures([(0.0, 0.0)] * 3, [(0.5, 0.5, 0.5)] * 3, hists)
+        dis = edge_dissimilarities(table, [(0, 1), (0, 2), (1, 2)], _params())
+        assert np.isfinite(dis).all() and ((0.0 <= dis) & (dis <= 1.0)).all()
+
+
 def test_edges_require_strictly_closer_than_threshold():
     pair = [(0.0, 0.0), (1.0, 0.0)]
     assert build_edges(pair, 1.0).tolist() == []

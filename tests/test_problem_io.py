@@ -292,7 +292,9 @@ def test_saved_bytes_are_json_dump_on_edge_cases(tmp_path):
     features = NodeFeatures(
         [(-0.0, 5e-324), (1e16, 1e300), (3.0, -2.0)],
         [(0.0, 1.0, 0.1), (-0.0, 5e-324, 1e-7), (0.5, 0.25, 1.0)],
-        [(5e-324,), (1e300,), (3.0,)],
+        # a histogram sum must lie in [sqrt(tiny), sqrt(max) / B], so the
+        # extreme entries share rows with entries that keep the sum there
+        [(5e-324, 1.0), (1e16, 0.1), (3.0, -0.0)],
     )
     cases = []
     for k in (2, 3):

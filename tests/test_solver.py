@@ -27,6 +27,7 @@ from crfqp.potentials import pairwise_potential
 from crfqp.solver import (
     _PROBE,
     _decoder_terms,
+    _StopTest,
     _initial_marginals,
     _quadratic_operator,
     iterate,
@@ -808,6 +809,34 @@ def test_non_finite_iterate_raises_non_finite_marginals():
         with np.errstate(invalid="ignore"), pytest.raises(SolverFailure) as failure:
             solve(graph, pot, SolverConfig(tol=1e-300), callback=poison)
         assert str(failure.value) == "non-finite marginals at iteration 4"
+
+
+def test_stop_test_runs_the_full_scan_itself():
+    # a finite pair whose difference overflows fails, naming `what`
+    new, old = np.array([1e308, 0.5, 0.25]), np.array([-1e308, 0.5, 0.0])
+    for what in ("marginals", "messages"):
+        stop = _StopTest(what, 1e-6, 10)
+        with np.errstate(over="ignore"), pytest.raises(SolverFailure) as failure:
+            stop.settled(3, 0.0, new, old, np.empty(3))
+        assert str(failure.value) == f"non-finite {what} at iteration 3"
+
+    # a full scan leaves new - old in `out`
+    rng = np.random.default_rng(61)
+    new, old, out = rng.random((3, 4)), rng.random((3, 4)), np.empty((3, 4))
+    stop = _StopTest("marginals", 1e-6, 10)
+    assert not stop.settled(1, 2.5, new, old, out)
+    np.testing.assert_array_equal(out, new - old)
+    assert (stop.trace, stop.iterations, stop.converged) == ([2.5], 1, False)
+    assert stop.settled(2, 2.5, new, new.copy(), out)
+    assert stop.converged and not out.any()
+
+    # a probe at or above `tol` settles nothing and leaves `out` untouched
+    new, old = np.array([0.5, 0.5, 0.5, 0.5]), np.array([0.0, 0.5, 0.5, 0.5])
+    for tol in (0.25, 0.5):
+        stop = _StopTest("marginals", tol, 10, np.empty(2))
+        out = np.full(4, 7.0)
+        assert not stop.settled(1, 1.0, new, old, out)
+        assert (out == 7.0).all() and stop.lead is not None
 
 
 def test_infinite_objective_raises_solver_failure():
